@@ -1,6 +1,6 @@
 //! The wire bridge: runs the staged training/serving pipeline on any
-//! [`Executor`] — in-process or across real sockets — instead of the
-//! trainer's built-in serial `VirtualExecutor`.
+//! [`Executor`] — the trainer's own serial `VirtualExecutor`, real threads,
+//! or real sockets. Every round in the repository goes through here.
 //!
 //! The executor trait is modulus-erased (blocks and vectors travel as `u64`
 //! representatives, because closures cannot cross a process boundary), so
@@ -12,8 +12,8 @@
 //! * **up**: modulus-erased outcomes come back as canonical `u64`s, are
 //!   validated back into field elements (non-canonical payloads drop the
 //!   worker — the wire layer's invariant, never silently reduced), and the
-//!   Byzantine corruption is applied **master-side on arrival**, exactly as
-//!   the in-process executors do, so fault injection is executor-independent.
+//!   Byzantine corruption is applied **master-side on arrival**, so fault
+//!   injection is executor-independent.
 //!
 //! Block installation is keyed by *pointer identity* of the engines' shared
 //! dataset `Arc`s: dispatching twice over the same encoded dataset reuses the
@@ -25,33 +25,27 @@
 
 use std::sync::Arc;
 
-use avcc_coding::{DualCodeword, ScreenOutcome};
 use avcc_field::{Fp, PrimeField, PrimeModulus};
 use avcc_linalg::Matrix;
 use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::churn::ChurnEventKind;
 use avcc_sim::executor::{Executor, ExecutorError, WorkerOutcome};
 use avcc_sim::wire::Block;
-use rand::Rng;
 
 use crate::driver::DistributedTrainer;
 use crate::report::{IterationRecord, TrainingReport};
-use crate::rounds::{BatchRoundTask, RoundTask, SchemeFailure};
+use crate::rounds::{RoundTask, SchemeFailure};
 
 /// Arrival-ordered outcomes of one batched round: per worker, one field
 /// vector per function.
 pub type BatchOutcomes<M> = Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>>;
-
-/// Result of a screened round: the outcomes that survived the dual-codeword
-/// screen plus the sorted ids of the workers it evicted.
-pub type ScreenedOutcomes<M> = (Vec<WorkerOutcome<Vec<Fp<M>>>>, Vec<usize>);
 
 /// Errors from running the pipeline over an executor: either the scheme
 /// itself failed (not enough usable results, decode failure) or the executor
 /// did (unknown job, spawn failure).
 #[derive(Debug)]
 pub enum DistributedError {
-    /// A scheme-level failure (the same errors `train` produces).
+    /// A scheme-level failure (not enough usable results, decode failure).
     Scheme(SchemeFailure),
     /// An executor-level failure (job bookkeeping, worker spawn).
     Executor(ExecutorError),
@@ -77,6 +71,20 @@ impl From<SchemeFailure> for DistributedError {
 impl From<ExecutorError> for DistributedError {
     fn from(e: ExecutorError) -> Self {
         DistributedError::Executor(e)
+    }
+}
+
+/// Folds an executor-level failure into the scheme-failure shape the
+/// synchronous APIs report: an executor that cannot run a round cannot
+/// decode one.
+impl From<DistributedError> for SchemeFailure {
+    fn from(error: DistributedError) -> Self {
+        match error {
+            DistributedError::Scheme(failure) => failure,
+            DistributedError::Executor(error) => SchemeFailure::DecodeFailed {
+                details: format!("executor failure: {error}"),
+            },
+        }
     }
 }
 
@@ -157,10 +165,12 @@ impl WireRunner {
     }
 
     /// Runs one single-function round (`tasks[i]` addressed to worker `i`)
-    /// on the executor and returns arrival-ordered, corruption-applied
-    /// outcomes — the exact shape
-    /// [`DistributedTrainer::collect_round1`]/`collect_round2` and the
-    /// engines' `collect` expect.
+    /// and returns arrival-ordered, corruption-applied outcomes with one
+    /// field vector each — the `m = 1` call of
+    /// [`WireRunner::run_batch_round`], unwrapped without copying.
+    ///
+    /// # Panics
+    /// Panics if a task carries more than one function.
     pub fn run_round<M: PrimeModulus>(
         &mut self,
         executor: &mut dyn Executor,
@@ -168,89 +178,35 @@ impl WireRunner {
         tasks: &[RoundTask<M>],
         byzantine: &ByzantineSpec,
     ) -> Result<Vec<WorkerOutcome<Vec<Fp<M>>>>, ExecutorError> {
-        let matrices: Vec<&Arc<Matrix<Fp<M>>>> = tasks.iter().map(|t| t.matrix()).collect();
-        let job = self.ensure_installed(executor, channel, &matrices)?;
-        let round = self.next_round;
-        self.next_round += 1;
-        let inputs: Vec<Vec<Vec<u64>>> = tasks.iter().map(|t| vec![lower(t.input())]).collect();
-        let raw = executor.execute_round(job, round, &inputs)?;
-        let mut outcomes: Vec<WorkerOutcome<Vec<Fp<M>>>> = raw
+        assert!(
+            tasks.iter().all(|task| task.functions() == 1),
+            "run_round takes single-function tasks; use run_batch_round"
+        );
+        let outcomes = self.run_batch_round(executor, channel, tasks, byzantine)?;
+        Ok(outcomes
             .into_iter()
-            .filter_map(|outcome| {
-                // Exactly one function's output, of the dispatched shape.
-                let [output] = outcome.payload.as_slice() else {
-                    return None;
-                };
-                let mut payload = lift::<M>(output)?;
-                let corrupted = byzantine.corrupt(outcome.worker, &mut payload);
-                Some(WorkerOutcome {
-                    worker: outcome.worker,
-                    payload,
-                    compute_seconds: outcome.compute_seconds,
-                    network_seconds: outcome.network_seconds,
-                    arrival_seconds: outcome.arrival_seconds,
-                    corrupted,
-                })
+            .map(|outcome| WorkerOutcome {
+                worker: outcome.worker,
+                payload: outcome.payload.into_iter().next().expect("one function"),
+                compute_seconds: outcome.compute_seconds,
+                network_seconds: outcome.network_seconds,
+                arrival_seconds: outcome.arrival_seconds,
+                corrupted: outcome.corrupted,
             })
-            .collect();
-        outcomes.sort_by(|a, b| {
-            a.arrival_seconds
-                .partial_cmp(&b.arrival_seconds)
-                .expect("finite arrival times")
-        });
-        Ok(outcomes)
+            .collect())
     }
 
-    /// Runs one single-function round and screens the arrivals with the
-    /// pre-decode dual-codeword check before handing them on: workers whose
-    /// blocks the screen localizes as RS-inconsistent are dropped from the
-    /// outcome list — downstream they are indistinguishable from stragglers
-    /// — and returned separately so callers can account for the evictions.
-    ///
-    /// When the responder set is too small to screen (`R ≤ threshold`), or
-    /// the screen passes (or cannot localize), the outcomes pass through
-    /// untouched; engine-side Freivalds verification remains the backstop.
-    pub fn run_round_screened<M: PrimeModulus, R: Rng + ?Sized>(
-        &mut self,
-        executor: &mut dyn Executor,
-        channel: usize,
-        tasks: &[RoundTask<M>],
-        byzantine: &ByzantineSpec,
-        screen: &DualCodeword<M>,
-        rng: &mut R,
-    ) -> Result<ScreenedOutcomes<M>, ExecutorError> {
-        let outcomes = self.run_round(executor, channel, tasks, byzantine)?;
-        if !screen.screenable(outcomes.len()) {
-            return Ok((outcomes, Vec::new()));
-        }
-        let claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
-            .iter()
-            .map(|o| (o.worker, o.payload.clone()))
-            .collect();
-        let screened = match screen.screen(&claims, 1, rng) {
-            Ok(report) => match report.outcome {
-                ScreenOutcome::Corrupted { workers } => workers,
-                ScreenOutcome::Clean | ScreenOutcome::Unlocalized => Vec::new(),
-            },
-            Err(_) => Vec::new(),
-        };
-        let outcomes = outcomes
-            .into_iter()
-            .filter(|o| !screened.contains(&o.worker))
-            .collect();
-        Ok((outcomes, screened))
-    }
-
-    /// Runs one batched round (`m` functions per task) on the executor; the
-    /// batched counterpart of [`WireRunner::run_round`], returning the shape
-    /// the engines' `collect_batch` expects. A Byzantine worker corrupts
-    /// every function of its payload, matching
-    /// [`crate::engines::MatVecEngine::execute_batch`].
+    /// Runs one round (`tasks[i]` addressed to worker `i`, `m` functions per
+    /// task) on the executor and returns arrival-ordered, corruption-applied
+    /// outcomes — the shape the engines' collect reads (through
+    /// [`crate::rounds::arrivals`]). A Byzantine worker corrupts every
+    /// function of its payload. Outcomes whose function count does not match
+    /// the tasks', or that carry non-canonical values, drop the worker.
     pub fn run_batch_round<M: PrimeModulus>(
         &mut self,
         executor: &mut dyn Executor,
         channel: usize,
-        tasks: &[BatchRoundTask<M>],
+        tasks: &[RoundTask<M>],
         byzantine: &ByzantineSpec,
     ) -> Result<BatchOutcomes<M>, ExecutorError> {
         let matrices: Vec<&Arc<Matrix<Fp<M>>>> = tasks.iter().map(|t| t.matrix()).collect();
@@ -301,11 +257,11 @@ const CHANNEL_ROUND1: usize = 0;
 /// Channel index used for a trainer's round-2 dispatches.
 const CHANNEL_ROUND2: usize = 1;
 
-/// Runs the trainer's full configured training loop on `executor`: the
-/// distributed counterpart of [`DistributedTrainer::train`], producing a
-/// bit-identical model trajectory for any executor whose outcomes carry the
-/// same values (all of them — the compute path is the same
-/// `avcc_linalg::mat_vec` kernel everywhere, and decode is exact).
+/// Runs the trainer's full configured training loop on `executor`, producing
+/// the same model trajectory as [`DistributedTrainer::train`] (which runs
+/// this loop on the trainer's own `VirtualExecutor`) for any executor whose
+/// outcomes carry the same values — all of them: the compute path is the
+/// same `avcc_linalg::mat_vec` kernel everywhere, and decode is exact.
 ///
 /// Blocks ship to the workers once up front (and again only after a dynamic
 /// re-coding swaps the datasets); each round then moves one input vector per
@@ -329,7 +285,13 @@ pub fn train_distributed<M: PrimeModulus>(
     let mut report = TrainingReport::new(trainer.scheme().label(), trainer.scenario_label());
     let mut cumulative = 0.0;
     for iteration in 0..trainer.iterations() {
-        match run_iteration_parked(trainer, executor, &mut runner, iteration, &mut cumulative) {
+        match run_iteration_parked(
+            trainer,
+            Some(&mut *executor),
+            &mut runner,
+            iteration,
+            &mut cumulative,
+        ) {
             Ok(record) => report.push(record),
             Err(error) => {
                 trainer.reset_pipeline();
@@ -340,88 +302,91 @@ pub fn train_distributed<M: PrimeModulus>(
     Ok(report)
 }
 
-/// One iteration of [`train_distributed`], with the park / resume / shrink
-/// loop around each round's collect (see the function docs above).
-fn run_iteration_parked<M: PrimeModulus>(
+/// One iteration with the park / resume / shrink policy around each round
+/// (see [`train_distributed`]), on `executor` — or, when `None`, on the
+/// trainer's own `VirtualExecutor`, whose profile follows the trainer's
+/// adaptations so every straggler stays on its physical worker.
+pub(crate) fn run_iteration_parked<M: PrimeModulus>(
     trainer: &mut DistributedTrainer<M>,
-    executor: &mut dyn Executor,
+    mut executor: Option<&mut dyn Executor>,
     runner: &mut WireRunner,
     iteration: usize,
     cumulative: &mut f64,
 ) -> Result<IterationRecord, DistributedError> {
-    'restart: loop {
-        let round1_tasks = trainer.encode_round1();
-        let byzantine = trainer.byzantine().clone();
-        let mut stalls = 0usize;
-        let round2_tasks = loop {
-            let outcomes = runner.run_round(executor, CHANNEL_ROUND1, &round1_tasks, &byzantine)?;
-            let responded = outcomes.len();
-            match trainer.collect_round1(&outcomes) {
-                Ok(tasks) => {
-                    if stalls > 0 {
-                        trainer.note_fleet_event(
-                            iteration as u64,
-                            responded,
-                            ChurnEventKind::Resumed,
-                        );
-                    }
-                    break tasks;
-                }
-                Err(SchemeFailure::NotEnoughResults {
-                    available,
-                    required,
-                }) => {
-                    if stalls == 0 {
-                        trainer.note_fleet_event(
-                            iteration as u64,
-                            available,
-                            ChurnEventKind::Parked,
-                        );
-                    }
-                    stalls += 1;
-                    if stalls > trainer.stall_budget() {
-                        trainer.shrink_to_fit(iteration as u64, available, required)?;
-                        continue 'restart;
-                    }
-                }
-                Err(other) => return Err(other.into()),
-            }
+    loop {
+        let round1 = trainer.encode_round1();
+        let Some(round2) = run_parked_round(
+            trainer,
+            &mut executor,
+            runner,
+            CHANNEL_ROUND1,
+            &round1,
+            iteration,
+            |trainer, outcomes| trainer.collect_round1(outcomes),
+        )?
+        else {
+            continue;
         };
-        let byzantine = trainer.byzantine().clone();
-        let mut stalls = 0usize;
-        loop {
-            let outcomes = runner.run_round(executor, CHANNEL_ROUND2, &round2_tasks, &byzantine)?;
-            let responded = outcomes.len();
-            match trainer.collect_round2(iteration, &outcomes, cumulative) {
-                Ok(record) => {
-                    if stalls > 0 {
-                        trainer.note_fleet_event(
-                            iteration as u64,
-                            responded,
-                            ChurnEventKind::Resumed,
-                        );
-                    }
-                    return Ok(record);
+        let record = run_parked_round(
+            trainer,
+            &mut executor,
+            runner,
+            CHANNEL_ROUND2,
+            &round2,
+            iteration,
+            |trainer, outcomes| trainer.collect_round2(iteration, outcomes, cumulative),
+        )?;
+        if let Some(record) = record {
+            return Ok(record);
+        }
+    }
+}
+
+/// Runs one round until `collect` accepts it. A round short of results is
+/// parked and re-dispatched while the stall budget lasts, then the trainer
+/// shrink-recodes and `Ok(None)` tells the caller to restart the iteration.
+fn run_parked_round<M: PrimeModulus, T>(
+    trainer: &mut DistributedTrainer<M>,
+    executor: &mut Option<&mut dyn Executor>,
+    runner: &mut WireRunner,
+    channel: usize,
+    tasks: &[RoundTask<M>],
+    iteration: usize,
+    mut collect: impl FnMut(
+        &mut DistributedTrainer<M>,
+        &[WorkerOutcome<Vec<Fp<M>>>],
+    ) -> Result<T, SchemeFailure>,
+) -> Result<Option<T>, DistributedError> {
+    let byzantine = trainer.byzantine().clone();
+    let round = iteration as u64;
+    let mut stalls = 0usize;
+    loop {
+        let target: &mut dyn Executor = match executor {
+            Some(executor) => &mut **executor,
+            None => trainer.own_executor(),
+        };
+        let outcomes = runner.run_round(target, channel, tasks, &byzantine)?;
+        match collect(trainer, &outcomes) {
+            Ok(value) => {
+                if stalls > 0 {
+                    trainer.note_fleet_event(round, outcomes.len(), ChurnEventKind::Resumed);
                 }
-                Err(SchemeFailure::NotEnoughResults {
-                    available,
-                    required,
-                }) => {
-                    if stalls == 0 {
-                        trainer.note_fleet_event(
-                            iteration as u64,
-                            available,
-                            ChurnEventKind::Parked,
-                        );
-                    }
-                    stalls += 1;
-                    if stalls > trainer.stall_budget() {
-                        trainer.shrink_to_fit(iteration as u64, available, required)?;
-                        continue 'restart;
-                    }
-                }
-                Err(other) => return Err(other.into()),
+                return Ok(Some(value));
             }
+            Err(SchemeFailure::NotEnoughResults {
+                available,
+                required,
+            }) => {
+                if stalls == 0 {
+                    trainer.note_fleet_event(round, available, ChurnEventKind::Parked);
+                }
+                stalls += 1;
+                if stalls > trainer.stall_budget() {
+                    trainer.shrink_to_fit(round, available, required)?;
+                    return Ok(None);
+                }
+            }
+            Err(other) => return Err(other.into()),
         }
     }
 }

@@ -25,17 +25,18 @@ use avcc_ml::quantized::QuantizedProtocol;
 use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::churn::{ChurnEvent, ChurnEventKind};
 use avcc_sim::cluster::ClusterProfile;
-use avcc_sim::executor::{VirtualExecutor, WorkerOutcome};
+use avcc_sim::executor::{Executor, VirtualExecutor, WorkerOutcome};
 use avcc_verify::KeyGenConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{AdaptiveController, Autopilot, AutopilotConfig};
+use crate::distributed::{run_iteration_parked, WireRunner};
 use crate::engines::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
 use crate::problem::TrainingProblem;
 use crate::report::{IterationRecord, TrainingReport};
-use crate::rounds::{field_vector_bytes, RoundExecution, RoundTask, SchemeFailure};
+use crate::rounds::{arrivals, FunctionOutputs, RoundExecution, RoundTask, SchemeFailure};
 
 /// The four schemes the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -149,6 +150,7 @@ pub struct DistributedTrainer<M: PrimeModulus> {
     protocol: QuantizedProtocol,
     model: LogisticModel,
     executor: VirtualExecutor,
+    runner: WireRunner,
     byzantine: ByzantineSpec,
     round1: Box<dyn MatVecEngine<M>>,
     round2: Box<dyn MatVecEngine<M>>,
@@ -266,6 +268,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             protocol,
             model,
             executor,
+            runner: WireRunner::new(),
             byzantine,
             round1,
             round2,
@@ -348,7 +351,9 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         }
     }
 
-    /// Runs the configured number of iterations and returns the full report.
+    /// Runs the configured number of iterations on the trainer's own
+    /// [`VirtualExecutor`] and returns the full report — the behaviour
+    /// oracle every other executor and scheduler is compared against.
     pub fn train(&mut self) -> Result<TrainingReport, SchemeFailure> {
         let mut report = TrainingReport::new(self.config.scheme.label(), &self.scenario_label);
         let mut cumulative = 0.0;
@@ -362,25 +367,28 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// Runs a single iteration, returning its record. Exposed so scenario
     /// scripts (e.g. Fig. 5) can change fault conditions between iterations.
     ///
-    /// A thin wrapper over the staged pipeline API, driving both rounds on
-    /// the trainer's serial [`VirtualExecutor`]; it is the behaviour oracle
-    /// the serving scheduler's results are compared against.
+    /// This is [`crate::train_distributed`]'s iteration — park, resume and
+    /// shrink included — run on the trainer's own [`VirtualExecutor`], whose
+    /// profile follows [`DistributedTrainer::set_stragglers`] and worker
+    /// evictions. Blocks are installed once per encoded dataset.
     pub fn run_iteration(
         &mut self,
         iteration: usize,
         cumulative: &mut f64,
     ) -> Result<IterationRecord, SchemeFailure> {
-        let result = (|| {
-            let round1_tasks = self.encode_round1();
-            let round1_outcomes = self.run_virtual(round1_tasks);
-            let round2_tasks = self.collect_round1(&round1_outcomes)?;
-            let round2_outcomes = self.run_virtual(round2_tasks);
-            self.collect_round2(iteration, &round2_outcomes, cumulative)
-        })();
+        let mut runner = std::mem::take(&mut self.runner);
+        let result = run_iteration_parked(self, None, &mut runner, iteration, cumulative);
+        self.runner = runner;
         if result.is_err() {
             self.reset_pipeline();
         }
-        result
+        result.map_err(SchemeFailure::from)
+    }
+
+    /// The trainer's own executor, for rounds run through
+    /// [`DistributedTrainer::run_iteration`].
+    pub(crate) fn own_executor(&mut self) -> &mut dyn Executor {
+        &mut self.executor
     }
 
     /// Stage 1 of the pipeline: quantizes the current weights and builds the
@@ -397,7 +405,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             "an iteration is already in flight; collect it or reset the pipeline first"
         );
         let w_field = self.protocol.quantize_weights::<M>(&self.model.weights);
-        let tasks = self.round1.dispatch(&w_field);
+        let tasks = self.round1.dispatch(std::slice::from_ref(&w_field));
         self.inflight = Some(InflightIteration {
             round1_input: w_field,
             round1: None,
@@ -414,11 +422,15 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// the in-flight state is preserved, so the caller may call again with
     /// more outcomes.
     ///
+    /// `outcomes` carry single-function payloads, either bare (`Vec<Fp<M>>`,
+    /// as [`crate::WireRunner::run_round`] returns them) or in the batch
+    /// shape with one function.
+    ///
     /// # Panics
     /// Panics if no iteration is in flight or round 1 was already collected.
-    pub fn collect_round1(
+    pub fn collect_round1<P: FunctionOutputs<M>>(
         &mut self,
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
+        outcomes: &[WorkerOutcome<P>],
     ) -> Result<Vec<RoundTask<M>>, SchemeFailure> {
         let inflight = self
             .inflight
@@ -429,17 +441,17 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             "round 1 of the in-flight iteration was already collected"
         );
         let execution = self.round1.collect(
-            &inflight.round1_input,
-            outcomes,
+            std::slice::from_ref(&inflight.round1_input),
+            &arrivals(outcomes),
             &self.executor.profile().network,
             self.executor.time_scale,
             &mut self.rng,
         )?;
         let errors = self
             .protocol
-            .error_vector(&execution.output, &self.problem.train_labels);
+            .error_vector(&execution.outputs[0], &self.problem.train_labels);
         let e_field = self.protocol.quantize_error::<M>(&errors);
-        let tasks = self.round2.dispatch(&e_field);
+        let tasks = self.round2.dispatch(std::slice::from_ref(&e_field));
         inflight.round1 = Some(execution);
         inflight.round2_input = Some(e_field);
         Ok(tasks)
@@ -453,10 +465,10 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     ///
     /// # Panics
     /// Panics if round 1 of the in-flight iteration has not been collected.
-    pub fn collect_round2(
+    pub fn collect_round2<P: FunctionOutputs<M>>(
         &mut self,
         iteration: usize,
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
+        outcomes: &[WorkerOutcome<P>],
         cumulative: &mut f64,
     ) -> Result<IterationRecord, SchemeFailure> {
         let inflight = self
@@ -468,8 +480,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             .as_ref()
             .expect("collect_round2 called before round 1 was collected");
         let round2 = self.round2.collect(
-            e_field,
-            outcomes,
+            std::slice::from_ref(e_field),
+            &arrivals(outcomes),
             &self.executor.profile().network,
             self.executor.time_scale,
             &mut self.rng,
@@ -479,7 +491,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             .take()
             .and_then(|inflight| inflight.round1)
             .expect("in-flight round 1 execution present");
-        let gradient = self.protocol.dequantize_round2(&round2.output);
+        let gradient = self.protocol.dequantize_round2(&round2.outputs[0]);
         self.model
             .apply_gradient(&gradient, self.config.learning_rate, self.problem.samples());
 
@@ -585,17 +597,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         self.inflight = None;
     }
 
-    /// Runs round tasks on the trainer's own serial virtual executor with its
-    /// Byzantine spec applied — the synchronous compute stage.
-    fn run_virtual(&self, tasks: Vec<RoundTask<M>>) -> Vec<WorkerOutcome<Vec<Fp<M>>>> {
-        let jobs: Vec<_> = tasks.into_iter().map(|task| move || task.run()).collect();
-        self.executor.run_round(
-            jobs,
-            |payload: &Vec<Fp<M>>| field_vector_bytes(payload.len()),
-            |worker, payload: &mut Vec<Fp<M>>| self.byzantine.corrupt(worker, payload),
-        )
-    }
-
     /// Evicts workers, rebuilds the engines for the new configuration and
     /// returns the one-time reconfiguration cost in simulated seconds.
     ///
@@ -634,7 +635,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         let engine2 = AvccMatVec::over(dataset2, key_config, &mut self.rng)
             .with_screening(self.config.screen);
         let redistribution_seconds = if reencode {
-            let shipped_bytes = engine1.encoded_bytes() + engine2.encoded_bytes();
+            let shipped_bytes =
+                engine1.dataset().encoded_bytes() + engine2.dataset().encoded_bytes();
             // The master pushes every worker its new share over its single
             // uplink, so the transfers serialize.
             let network = self.executor.profile().network;
@@ -895,6 +897,8 @@ mod tests {
         let report = synchronous.train().unwrap();
 
         let mut staged = make();
+        let mut executor = VirtualExecutor::new(staged.cluster().clone()).with_time_scale(1.0);
+        let mut runner = WireRunner::new();
         let mut cumulative = 0.0;
         for iteration in 0..staged.iterations() {
             let round1_tasks = staged.encode_round1();
@@ -902,9 +906,13 @@ mod tests {
                 round1_tasks.len(),
                 staged.round_workers(TrainingRound::Round1)
             );
-            let round1_outcomes = staged.run_virtual(round1_tasks);
+            let round1_outcomes = runner
+                .run_round(&mut executor, 0, &round1_tasks, staged.byzantine())
+                .unwrap();
             let round2_tasks = staged.collect_round1(&round1_outcomes).unwrap();
-            let round2_outcomes = staged.run_virtual(round2_tasks);
+            let round2_outcomes = runner
+                .run_round(&mut executor, 1, &round2_tasks, staged.byzantine())
+                .unwrap();
             let record = staged
                 .collect_round2(iteration, &round2_outcomes, &mut cumulative)
                 .unwrap();

@@ -25,20 +25,17 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use avcc_coding::{DualCodeword, EncodedDataset, SchemeConfig, ScreenOutcome};
+use avcc_coding::{DualCodeword, EncodedDataset, ScreenOutcome};
 use avcc_field::{Fp, PrimeModulus};
-use avcc_linalg::Matrix;
 use avcc_sim::cluster::NetworkModel;
-use avcc_sim::executor::WorkerOutcome;
 use avcc_sim::metrics::OpCounts;
 use avcc_verify::{combine_with_powers, KeyGenConfig, MatVecKey};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::engines::MatVecEngine;
+use crate::engines::{assemble, MatVecEngine};
 use crate::rounds::{
-    detect_stragglers, field_vector_bytes, waiting_costs, BatchExecution, BatchRoundTask,
-    RoundExecution, RoundTask, SchemeFailure,
+    detect_stragglers, field_vector_bytes, waiting_costs, Arrival, RoundExecution, SchemeFailure,
 };
 
 /// The AVCC distributed matrix–vector engine: a per-function session over a
@@ -97,64 +94,11 @@ impl<M: PrimeModulus> AvccMatVec<M> {
         self
     }
 
-    /// Encodes the matrix and generates one Freivalds verification key per
-    /// worker (the one-time preprocessing of §IV-A steps 1–2) — the
-    /// single-function convenience wrapper around [`EncodedDataset::encode`]
-    /// plus [`AvccMatVec::over`].
-    ///
-    /// If the row count is not divisible by `config.partitions` — which
-    /// happens when the dynamic-coding controller switches to a smaller `K` —
-    /// the matrix is padded with zero rows and the decoded output is trimmed
-    /// back, so callers never observe the padding.
-    pub fn new<R: Rng + ?Sized>(
-        matrix: &Matrix<Fp<M>>,
-        config: SchemeConfig,
-        key_config: KeyGenConfig,
-        rng: &mut R,
-    ) -> Self {
-        let dataset = Arc::new(EncodedDataset::encode(matrix, config, rng));
-        Self::over(dataset, key_config, rng)
-    }
-
-    /// The shared encoded dataset this session dispatches against.
-    pub fn dataset(&self) -> &Arc<EncodedDataset<M>> {
-        &self.dataset
-    }
-
-    /// The scheme configuration.
-    pub fn config(&self) -> &SchemeConfig {
-        self.dataset.scheme().expect("AVCC dataset is coded")
-    }
-
-    /// Total size of the encoded data shipped to the workers, in bytes.
-    pub fn encoded_bytes(&self) -> usize {
-        self.dataset.encoded_bytes()
-    }
-
-    /// The recovery threshold (number of verified results needed to decode).
-    pub fn recovery_threshold(&self) -> usize {
-        self.dataset.recovery_threshold()
-    }
-
-    /// The pre-decode dual-codeword screen this session runs on arrivals
-    /// (shared configuration/points with the dataset's encoder and decoder).
-    pub fn screen(&self) -> &DualCodeword<M> {
-        &self.screen
-    }
-
-    /// Runs the pre-decode screen over a round's arrivals: returns the
-    /// localized corrupted workers (empty when the round is clean, not
-    /// screenable, or localization did not converge) plus the screening MAC
-    /// count. Factored out so both collect paths — and wire-level callers
-    /// screening blocks on arrival — share the exact semantics.
-    fn screen_claims<R: Rng + ?Sized>(
-        &self,
-        claims: &[(usize, Vec<Fp<M>>)],
-        rng: &mut R,
-    ) -> (Vec<usize>, u64) {
-        if !self.screen_enabled || !self.screen.screenable(claims.len()) {
-            return (Vec::new(), 0);
-        }
+    /// Runs the pre-decode screen over a round's claims: returns the
+    /// localized corrupted workers (empty when the round is clean or
+    /// localization did not converge) plus the screening MAC count. The
+    /// caller has already checked that the round is screenable.
+    fn screen_claims(&self, claims: &[(usize, Vec<Fp<M>>)], rng: &mut StdRng) -> (Vec<usize>, u64) {
         match self.screen.screen(claims, 1, rng) {
             Ok(report) => {
                 let workers = match report.outcome {
@@ -164,7 +108,7 @@ impl<M: PrimeModulus> AvccMatVec<M> {
                 (workers, report.macs)
             }
             // Malformed rounds (shape mismatches, duplicates) fall through to
-            // the existing verification/decode paths, which report them.
+            // the verification/decode path, which reports them.
             Err(_) => (Vec::new(), 0),
         }
     }
@@ -175,219 +119,121 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         "avcc"
     }
 
-    fn workers(&self) -> usize {
-        self.dataset.workers()
+    fn dataset(&self) -> &Arc<EncodedDataset<M>> {
+        &self.dataset
     }
 
     fn min_results(&self) -> usize {
         self.dataset.recovery_threshold()
     }
 
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>> {
-        let input = Arc::new(input.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, share)| RoundTask::new(worker, Arc::clone(share), Arc::clone(&input)))
-            .collect()
-    }
-
     fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
+        &self,
+        inputs: &[Vec<Fp<M>>],
+        outcomes: &[Arrival<'_, M>],
         network: &NetworkModel,
         time_scale: f64,
         rng: &mut StdRng,
     ) -> Result<RoundExecution<M>, SchemeFailure> {
-        let observed_stragglers = detect_stragglers(outcomes);
-        let threshold = self.dataset.recovery_threshold();
-
-        // Pre-decode dual-codeword screen: with more than threshold arrivals
-        // there is dual redundancy, and one O(R·width) pass localizes
-        // corrupted blocks before any Freivalds work. Screened-out workers
-        // are erased exactly like stragglers.
-        let claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
-            .iter()
-            .map(|outcome| (outcome.worker, outcome.payload.clone()))
-            .collect();
-        let screen_start = Instant::now();
-        let (screened_workers, screen_macs) = self.screen_claims(&claims, rng);
-        let mut verification_seconds = screen_start.elapsed().as_secs_f64();
-
-        // Verify results in arrival order and stop as soon as the threshold of
-        // verified results is reached — the key property that lets AVCC start
-        // decoding before the stragglers (and without LCC's 2M overhead).
-        let mut verifications = 0usize;
-        let mut verified: Vec<(usize, Vec<Fp<M>>)> = Vec::with_capacity(threshold);
-        let mut verified_outcomes = Vec::with_capacity(threshold);
-        let mut detected_byzantine = screened_workers.clone();
-        for outcome in outcomes {
-            if verified.len() >= threshold {
-                break;
-            }
-            if screened_workers.contains(&outcome.worker) {
-                continue;
-            }
-            let verify_start = Instant::now();
-            let accepted = self.keys[outcome.worker].verify(input, &outcome.payload);
-            verification_seconds += verify_start.elapsed().as_secs_f64();
-            verifications += 1;
-            if accepted {
-                verified.push((outcome.worker, outcome.payload.clone()));
-                verified_outcomes.push(outcome);
-            } else {
-                detected_byzantine.push(outcome.worker);
-            }
-        }
-        if verified.len() < threshold {
-            return Err(SchemeFailure::NotEnoughResults {
-                available: verified.len(),
-                required: threshold,
-            });
-        }
-
-        let block_rows = self.dataset.block_rows();
-        let mut costs = waiting_costs(
-            &verified_outcomes,
-            network,
-            field_vector_bytes(input.len()),
-            self.dataset.workers(),
-        );
-        costs.verification = verification_seconds * time_scale;
-
-        let decoder = self.dataset.decoder().expect("AVCC dataset is coded");
-        let decode_start = Instant::now();
-        let blocks =
-            decoder
-                .decode_erasure(&verified)
-                .map_err(|e| SchemeFailure::DecodeFailed {
-                    details: e.to_string(),
-                })?;
-        costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
-
-        let mut output = Vec::with_capacity(self.dataset.partitions() * block_rows);
-        for block in blocks {
-            output.extend(block);
-        }
-        output.truncate(self.dataset.output_rows());
-        // Freivalds checks one inner product over the payload plus one over
-        // the input per verification; the Lagrange erasure decode interpolates
-        // `partitions` blocks from `threshold` verified results.
-        let ops = OpCounts {
-            worker_macs: (block_rows * input.len()) as u64,
-            verify_macs: (verifications * (block_rows + input.len())) as u64 + screen_macs,
-            decode_macs: (block_rows * threshold * self.dataset.partitions()) as u64,
-        };
-        Ok(RoundExecution {
-            output,
-            costs,
-            ops,
-            used_workers: verified.iter().map(|(worker, _)| *worker).collect(),
-            detected_byzantine,
-            observed_stragglers,
-            screened_workers,
-        })
-    }
-
-    fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>> {
-        let inputs = Arc::new(inputs.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, share)| {
-                BatchRoundTask::new(worker, Arc::clone(share), Arc::clone(&inputs))
-            })
-            .collect()
-    }
-
-    fn collect_batch(
-        &mut self,
-        inputs: &[Vec<Fp<M>>],
-        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        rng: &mut StdRng,
-    ) -> Result<BatchExecution<M>, SchemeFailure> {
-        assert!(!inputs.is_empty(), "batched round needs at least one input");
+        assert!(!inputs.is_empty(), "a round needs at least one input");
         let functions = inputs.len();
         let cols = inputs[0].len();
         let observed_stragglers = detect_stragglers(outcomes);
         let threshold = self.dataset.recovery_threshold();
         let block_rows = self.dataset.block_rows();
+        let screening = self.screen_enabled && self.screen.screenable(outcomes.len());
 
-        // One scalar σ batches the whole round: the master combines the m
-        // inputs into x_c = Σ σ^j x_j once, combines each arrival's m claims
-        // into y_c = Σ σ^j y_j, and runs a single Freivalds check per arrival
-        // — verifying m products costs barely more than one. A failed
-        // combined check falls back to the m per-function checks to localize
-        // which function(s) the worker corrupted.
-        let sigma: Fp<M> = avcc_field::random_element(rng);
-        let verify_setup = Instant::now();
-        let combined_input = combine_with_powers(sigma, inputs);
+        // One scalar σ batches an m-function round: the master combines the
+        // m inputs into x_c = Σ σ^j x_j once, combines each arrival's m
+        // claims into y_c = Σ σ^j y_j, and runs a single Freivalds check per
+        // arrival — verifying m products costs barely more than one. With
+        // m = 1, x_c is x itself, so a single-function round draws no σ and
+        // combines nothing.
+        let sigma: Option<Fp<M>> = (functions > 1).then(|| avcc_field::random_element(rng));
+        let verify_start = Instant::now();
+        let combined_input = sigma.map(|sigma| combine_with_powers(sigma, inputs));
+        let input = combined_input.as_deref().unwrap_or(&inputs[0]);
         // The σ-combined claims Σ σ^j·Ỹ_i^{(j)} are themselves evaluations of
         // the combined polynomial (degree unchanged), so one dual-codeword
-        // screen over the combined claims covers all m functions at once —
-        // the same amortization trick as the batched Freivalds pass.
-        let combined_claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
-            .iter()
-            .map(|outcome| {
-                debug_assert_eq!(outcome.payload.len(), functions);
-                (outcome.worker, combine_with_powers(sigma, &outcome.payload))
-            })
-            .collect();
-        let (screened_workers, screen_macs) = self.screen_claims(&combined_claims, rng);
-        let mut verification_seconds = verify_setup.elapsed().as_secs_f64();
+        // screen over them covers all m functions at once. Single-function
+        // claims are copied only when the screen will read them.
+        let claims: Vec<(usize, Vec<Fp<M>>)> = match sigma {
+            Some(sigma) => outcomes
+                .iter()
+                .map(|outcome| {
+                    debug_assert_eq!(outcome.payload.len(), functions);
+                    (outcome.worker, combine_with_powers(sigma, outcome.payload))
+                })
+                .collect(),
+            None if screening => outcomes
+                .iter()
+                .map(|outcome| (outcome.worker, outcome.payload[0].clone()))
+                .collect(),
+            None => Vec::new(),
+        };
+        let claim = |index: usize| -> &[Fp<M>] {
+            match sigma {
+                Some(_) => &claims[index].1,
+                None => &outcomes[index].payload[0],
+            }
+        };
+
+        // Pre-decode dual-codeword screen: with more than threshold arrivals
+        // there is dual redundancy, and one O(R·width) pass localizes
+        // corrupted blocks before any Freivalds work. Screened-out workers
+        // are erased exactly like stragglers.
+        let (screened_workers, screen_macs) = if screening {
+            self.screen_claims(&claims, rng)
+        } else {
+            (Vec::new(), 0)
+        };
+
+        // Verify in arrival order and stop as soon as the threshold of
+        // verified results is reached — the key property that lets AVCC start
+        // decoding before the stragglers (and without LCC's 2M overhead).
         let mut verifications = 0usize;
         let mut fallback_checks = 0usize;
-        let mut verified: Vec<&WorkerOutcome<Vec<Vec<Fp<M>>>>> = Vec::with_capacity(threshold);
-        let mut detected_byzantine = screened_workers.clone();
-        let mut corrupted_functions = Vec::new();
-        // Screened-out workers skip the combined check entirely, but the
-        // per-function fallback still runs for them so corrupted functions
-        // are localized exactly as before the screen existed.
-        for &worker in &screened_workers {
-            let outcome = outcomes
-                .iter()
-                .find(|outcome| outcome.worker == worker)
-                .expect("screened workers come from the arrivals");
-            for (function, (input, claim)) in inputs.iter().zip(&outcome.payload).enumerate() {
+        let mut corrupted_functions: Vec<usize> = Vec::new();
+        // Localizes the functions a rejected or screened worker corrupted.
+        // With one function the verdict already names function 0; with m the
+        // per-function checks find which ones.
+        let mut localize = |worker: usize, payload: &[Vec<Fp<M>>]| {
+            if functions == 1 {
+                corrupted_functions.push(0);
+                return;
+            }
+            for (function, (input, claim)) in inputs.iter().zip(payload).enumerate() {
                 fallback_checks += 1;
-                if !self.keys[worker].verify(input, claim)
-                    && !corrupted_functions.contains(&function)
-                {
+                if !self.keys[worker].verify(input, claim) {
                     corrupted_functions.push(function);
                 }
             }
+        };
+        let mut verified: Vec<&Arrival<'_, M>> = Vec::with_capacity(threshold);
+        let mut detected_byzantine = screened_workers.clone();
+        for outcome in outcomes {
+            if screened_workers.contains(&outcome.worker) {
+                localize(outcome.worker, outcome.payload);
+            }
         }
-        for (outcome, (_, combined_claim)) in outcomes.iter().zip(&combined_claims) {
+        for (index, outcome) in outcomes.iter().enumerate() {
             if verified.len() >= threshold {
                 break;
             }
             if screened_workers.contains(&outcome.worker) {
                 continue;
             }
-            let verify_start = Instant::now();
-            let accepted = self.keys[outcome.worker].verify(&combined_input, combined_claim);
             verifications += 1;
-            if accepted {
+            if self.keys[outcome.worker].verify(input, claim(index)) {
                 verified.push(outcome);
             } else {
-                for (function, (input, claim)) in inputs.iter().zip(&outcome.payload).enumerate() {
-                    fallback_checks += 1;
-                    if !self.keys[outcome.worker].verify(input, claim)
-                        && !corrupted_functions.contains(&function)
-                    {
-                        corrupted_functions.push(function);
-                    }
-                }
+                localize(outcome.worker, outcome.payload);
                 detected_byzantine.push(outcome.worker);
             }
-            verification_seconds += verify_start.elapsed().as_secs_f64();
         }
+        let verification_seconds = verify_start.elapsed().as_secs_f64();
         corrupted_functions.sort_unstable();
+        corrupted_functions.dedup();
         if verified.len() < threshold {
             return Err(SchemeFailure::NotEnoughResults {
                 available: verified.len(),
@@ -408,41 +254,37 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         // basis cache.
         let decoder = self.dataset.decoder().expect("AVCC dataset is coded");
         let decode_start = Instant::now();
-        let mut outputs = Vec::with_capacity(functions);
-        for function in 0..functions {
-            let results: Vec<(usize, Vec<Fp<M>>)> = verified
-                .iter()
-                .map(|o| (o.worker, o.payload[function].clone()))
-                .collect();
-            let blocks =
-                decoder
-                    .decode_erasure(&results)
-                    .map_err(|e| SchemeFailure::DecodeFailed {
-                        details: e.to_string(),
-                    })?;
-            let mut output = Vec::with_capacity(self.dataset.partitions() * block_rows);
-            for block in blocks {
-                output.extend(block);
-            }
-            output.truncate(self.dataset.output_rows());
-            outputs.push(output);
-        }
+        let outputs = (0..functions)
+            .map(|function| {
+                let results: Vec<(usize, Vec<Fp<M>>)> = verified
+                    .iter()
+                    .map(|o| (o.worker, o.payload[function].clone()))
+                    .collect();
+                Ok(assemble(decoder.decode_erasure(&results)?, &self.dataset))
+            })
+            .collect::<Result<Vec<_>, SchemeFailure>>()?;
         costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
 
-        // Combining costs `m` MACs per coordinate (inputs once, plus every
-        // arrival's claims — the screen needs them all); each combined check
-        // is one ordinary Freivalds check; fallbacks are ordinary
-        // per-function checks; the screen adds its reported MACs.
+        // Each Freivalds check is one inner product over the payload plus one
+        // over the input; fallbacks are ordinary per-function checks; the
+        // screen adds its reported MACs. Combining costs `m` MACs per
+        // coordinate (inputs once, plus every arrival's claims — the screen
+        // needs them all), and nothing when m = 1. The Lagrange erasure
+        // decode interpolates `partitions` blocks from `threshold` results
+        // per function.
+        let combine_macs = if functions > 1 {
+            functions * cols + outcomes.len() * functions * block_rows
+        } else {
+            0
+        };
         let ops = OpCounts {
             worker_macs: (block_rows * functions * cols) as u64,
-            verify_macs: (functions * cols
-                + outcomes.len() * functions * block_rows
-                + verifications * (block_rows + cols)
-                + fallback_checks * (block_rows + cols)) as u64
+            verify_macs: (combine_macs + (verifications + fallback_checks) * (block_rows + cols))
+                as u64
                 + screen_macs,
             decode_macs: (functions * block_rows * threshold * self.dataset.partitions()) as u64,
         };
-        Ok(BatchExecution {
+        Ok(RoundExecution {
             outputs,
             costs,
             ops,
@@ -453,17 +295,15 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
             corrupted_functions,
         })
     }
-
-    fn decode_cache_stats(&self) -> (u64, u64) {
-        self.dataset.basis_cache_stats()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::test_support::run_round;
+    use avcc_coding::SchemeConfig;
     use avcc_field::{F25, P25};
-    use avcc_linalg::mat_vec;
+    use avcc_linalg::{mat_vec, Matrix};
     use avcc_sim::attack::{AttackModel, ByzantineSpec};
     use avcc_sim::cluster::ClusterProfile;
     use avcc_sim::executor::VirtualExecutor;
@@ -480,19 +320,28 @@ mod tests {
     fn engine(matrix: &Matrix<F25>, s: usize, m: usize, seed: u64) -> AvccMatVec<P25> {
         let config = SchemeConfig::linear(12, 9, s, m).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        AvccMatVec::new(matrix, config, KeyGenConfig::default(), &mut rng)
+        AvccMatVec::over(
+            Arc::new(EncodedDataset::encode(matrix, config, &mut rng)),
+            KeyGenConfig::default(),
+            &mut rng,
+        )
     }
 
     #[test]
     fn clean_round_uses_exactly_the_threshold() {
         let (matrix, input, expected) = setup();
-        let mut engine = engine(&matrix, 2, 1, 2);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let engine = engine(&matrix, 2, 1, 2);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(3);
-        let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &ByzantineSpec::none(),
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         assert_eq!(round.used_workers.len(), 9);
         assert!(round.detected_byzantine.is_empty());
         assert!(round.costs.verification > 0.0);
@@ -501,56 +350,77 @@ mod tests {
     #[test]
     fn byzantine_results_are_rejected_and_reported() {
         let (matrix, input, expected) = setup();
-        let mut engine = engine(&matrix, 1, 2, 4);
+        let engine = engine(&matrix, 1, 2, 4);
         // Slow every honest worker down so the two Byzantine workers are
         // guaranteed to be among the arrivals the master verifies.
         let honest: Vec<usize> = (0..12).filter(|w| *w != 0 && *w != 6).collect();
         let profile = ClusterProfile::uniform(12).with_stragglers(&honest, 50.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([0, 6], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(5);
-        let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected, "AVCC must still decode correctly");
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &byzantine,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(
+            round.outputs[0], expected,
+            "AVCC must still decode correctly"
+        );
         let mut detected = round.detected_byzantine.clone();
         detected.sort_unstable();
         assert_eq!(detected, vec![0, 6]);
         assert!(!round.used_workers.contains(&0));
         assert!(!round.used_workers.contains(&6));
+        // A single-function round localizes without a second check: the
+        // rejected workers' only function is function 0.
+        assert_eq!(round.corrupted_functions, vec![0]);
     }
 
     #[test]
     fn reverse_value_attack_is_also_rejected() {
         let (matrix, input, expected) = setup();
-        let mut engine = engine(&matrix, 2, 1, 6);
+        let engine = engine(&matrix, 2, 1, 6);
         // Slow every honest worker down: under wall-clock noise the Byzantine
         // worker could otherwise finish among the slowest three, and a master
         // that already has threshold verified results never examines (or
         // detects) it.
         let honest: Vec<usize> = (0..12).filter(|w| *w != 4).collect();
         let profile = ClusterProfile::uniform(12).with_stragglers(&honest, 50.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([4], AttackModel::reverse());
         let mut rng = StdRng::seed_from_u64(7);
-        let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &byzantine,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         assert_eq!(round.detected_byzantine, vec![4]);
     }
 
     #[test]
     fn stragglers_are_not_waited_for() {
         let (matrix, input, expected) = setup();
-        let mut engine = engine(&matrix, 2, 1, 8);
+        let engine = engine(&matrix, 2, 1, 8);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[1, 9], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(9);
-        let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &ByzantineSpec::none(),
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         assert!(!round.used_workers.contains(&1));
         assert!(!round.used_workers.contains(&9));
     }
@@ -559,15 +429,20 @@ mod tests {
     fn combined_stragglers_and_byzantine_within_budget_still_decode() {
         let (matrix, input, expected) = setup();
         // (N=12, K=9, S+M=3): two stragglers plus one Byzantine node.
-        let mut engine = engine(&matrix, 2, 1, 10);
+        let engine = engine(&matrix, 2, 1, 10);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[2, 3], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([7], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(11);
-        let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &byzantine,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         assert_eq!(round.detected_byzantine, vec![7]);
     }
 
@@ -584,18 +459,27 @@ mod tests {
         let input: Vec<F64> = avcc_field::random_vector(&mut rng, 6);
         let expected = mat_vec(&matrix, &input);
         let config = SchemeConfig::linear(16, 8, 4, 0).unwrap();
-        let mut engine = AvccMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+        let engine = AvccMatVec::<P64>::over(
+            Arc::new(EncodedDataset::encode(&matrix, config, &mut rng)),
+            KeyGenConfig::default(),
+            &mut rng,
+        );
         // Sanity: this geometry really is the NTT layout with both fast paths.
         let decoder = avcc_coding::LagrangeDecoder::<P64>::new(config);
         assert!(decoder.supports_ntt());
         assert!(decoder.supports_partial_ntt());
         let profile = ClusterProfile::uniform(16).with_stragglers(&[0, 5, 11, 13], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let mut round_rng = StdRng::seed_from_u64(41);
-        let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut round_rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &ByzantineSpec::none(),
+            &mut round_rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         for straggler in [0usize, 5, 11, 13] {
             assert!(!round.used_workers.contains(&straggler));
         }
@@ -606,11 +490,17 @@ mod tests {
         let (matrix, input, _) = setup();
         // Every worker Byzantine: verification rejects them all and the engine
         // reports the shortfall instead of producing garbage.
-        let mut engine = engine(&matrix, 2, 1, 12);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let engine = engine(&matrix, 2, 1, 12);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new(0..12, AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(13);
-        let outcome = engine.execute(&input, &executor, &byzantine, &mut rng);
+        let outcome = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &byzantine,
+            &mut rng,
+        );
         assert!(matches!(
             outcome,
             Err(SchemeFailure::NotEnoughResults { required: 9, .. })

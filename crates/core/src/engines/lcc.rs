@@ -18,21 +18,17 @@ use std::time::Instant;
 use avcc_coding::decoder::DecodeError;
 use avcc_coding::{EncodedDataset, SchemeConfig};
 use avcc_field::{Fp, PrimeModulus};
-use avcc_linalg::Matrix;
 use avcc_sim::cluster::NetworkModel;
-use avcc_sim::executor::WorkerOutcome;
 use avcc_sim::metrics::OpCounts;
 use rand::rngs::StdRng;
-use rand::Rng;
 
-use crate::engines::MatVecEngine;
+use crate::engines::{assemble, MatVecEngine};
 use crate::rounds::{
-    detect_stragglers, field_vector_bytes, waiting_costs, BatchExecution, BatchRoundTask,
-    RoundExecution, RoundTask, SchemeFailure,
+    detect_stragglers, field_vector_bytes, waiting_costs, Arrival, RoundExecution, SchemeFailure,
 };
 
-/// The LCC distributed matrix–vector engine: a per-function session over a
-/// shared [`EncodedDataset`].
+/// The LCC distributed matrix–vector engine: a session over a shared
+/// [`EncodedDataset`].
 #[derive(Debug, Clone)]
 pub struct LccMatVec<M: PrimeModulus> {
     dataset: Arc<EncodedDataset<M>>,
@@ -53,27 +49,9 @@ impl<M: PrimeModulus> LccMatVec<M> {
         LccMatVec { dataset }
     }
 
-    /// Encodes the matrix for the given scheme configuration — the
-    /// single-function convenience wrapper around [`EncodedDataset::encode`]
-    /// plus [`LccMatVec::over`]. Rows not divisible by `config.partitions`
-    /// are zero-padded and the decoded output trimmed back.
-    pub fn new<R: Rng + ?Sized>(matrix: &Matrix<Fp<M>>, config: SchemeConfig, rng: &mut R) -> Self {
-        Self::over(Arc::new(EncodedDataset::encode(matrix, config, rng)))
-    }
-
-    /// The shared encoded dataset this session dispatches against.
-    pub fn dataset(&self) -> &Arc<EncodedDataset<M>> {
-        &self.dataset
-    }
-
     /// The scheme configuration.
     pub fn config(&self) -> &SchemeConfig {
         self.dataset.scheme().expect("LCC dataset is coded")
-    }
-
-    /// Total size of the encoded data shipped to the workers, in bytes.
-    pub fn encoded_bytes(&self) -> usize {
-        self.dataset.encoded_bytes()
     }
 }
 
@@ -82,32 +60,25 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
         "lcc"
     }
 
-    fn workers(&self) -> usize {
-        self.dataset.workers()
+    fn dataset(&self) -> &Arc<EncodedDataset<M>> {
+        &self.dataset
     }
 
     fn min_results(&self) -> usize {
         self.config().lcc_wait_count()
     }
 
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>> {
-        let input = Arc::new(input.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, share)| RoundTask::new(worker, Arc::clone(share), Arc::clone(&input)))
-            .collect()
-    }
-
     fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
+        &self,
+        inputs: &[Vec<Fp<M>>],
+        outcomes: &[Arrival<'_, M>],
         network: &NetworkModel,
         time_scale: f64,
         rng: &mut StdRng,
     ) -> Result<RoundExecution<M>, SchemeFailure> {
+        assert!(!inputs.is_empty(), "a round needs at least one input");
+        let functions = inputs.len();
+        let cols = inputs[0].len();
         let observed_stragglers = detect_stragglers(outcomes);
         let config = *self.config();
         let block_rows = self.dataset.block_rows();
@@ -125,109 +96,13 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
         let mut costs = waiting_costs(
             &used,
             network,
-            field_vector_bytes(input.len()),
-            config.workers,
-        );
-
-        let results: Vec<(usize, Vec<Fp<M>>)> =
-            used.iter().map(|o| (o.worker, o.payload.clone())).collect();
-        let decoder = self.dataset.decoder().expect("LCC dataset is coded");
-        let decode_start = Instant::now();
-        let decoded = decoder.decode_with_errors(&results, config.byzantine, rng);
-        let (blocks, detected) = match decoded {
-            Ok(outcome) => outcome,
-            Err(DecodeError::TooManyErrors) => {
-                // Beyond the designed correction capability: a real decoder
-                // emits an incorrect reconstruction. Erasure-decode the fastest
-                // threshold results, corrupted or not.
-                let fallback = decoder.decode_erasure(&results[..threshold]).map_err(|e| {
-                    SchemeFailure::DecodeFailed {
-                        details: e.to_string(),
-                    }
-                })?;
-                (fallback, Vec::new())
-            }
-            Err(other) => {
-                return Err(SchemeFailure::DecodeFailed {
-                    details: other.to_string(),
-                })
-            }
-        };
-        costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
-
-        let mut output = Vec::with_capacity(config.partitions * block_rows);
-        for block in blocks {
-            output.extend(block);
-        }
-        output.truncate(self.dataset.output_rows());
-        // Reed–Solomon error decoding interpolates through all `wait_count`
-        // results (the syndrome/locator work is the extra `wait_count²` term
-        // LCC pays over an erasure decode).
-        let ops = OpCounts {
-            worker_macs: (block_rows * input.len()) as u64,
-            verify_macs: 0,
-            decode_macs: (block_rows * wait_count * config.partitions + wait_count * wait_count)
-                as u64,
-        };
-        Ok(RoundExecution {
-            output,
-            costs,
-            ops,
-            used_workers: used.iter().map(|o| o.worker).collect(),
-            detected_byzantine: detected,
-            observed_stragglers,
-            // LCC has no pre-decode screen: Byzantine workers surface through
-            // error decoding, not screening.
-            screened_workers: Vec::new(),
-        })
-    }
-
-    fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>> {
-        let inputs = Arc::new(inputs.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, share)| {
-                BatchRoundTask::new(worker, Arc::clone(share), Arc::clone(&inputs))
-            })
-            .collect()
-    }
-
-    fn collect_batch(
-        &mut self,
-        inputs: &[Vec<Fp<M>>],
-        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        rng: &mut StdRng,
-    ) -> Result<BatchExecution<M>, SchemeFailure> {
-        assert!(!inputs.is_empty(), "batched round needs at least one input");
-        let functions = inputs.len();
-        let cols = inputs[0].len();
-        let observed_stragglers = detect_stragglers(outcomes);
-        let config = *self.config();
-        let block_rows = self.dataset.block_rows();
-
-        let wait_count = config.lcc_wait_count().min(outcomes.len());
-        let threshold = config.recovery_threshold();
-        if wait_count < threshold {
-            return Err(SchemeFailure::NotEnoughResults {
-                available: wait_count,
-                required: threshold,
-            });
-        }
-        let used: Vec<_> = outcomes[..wait_count].iter().collect();
-        let mut costs = waiting_costs(
-            &used,
-            network,
             field_vector_bytes(functions * cols),
             config.workers,
         );
 
-        // LCC has no per-arrival check to batch: each function is error-
-        // decoded independently (Byzantine identification is a decode-side
-        // by-product), with detections unioned across the batch.
+        // LCC has no per-arrival check: each function is error-decoded
+        // independently (Byzantine identification is a decode-side
+        // by-product), with detections unioned across the round.
         let decoder = self.dataset.decoder().expect("LCC dataset is coded");
         let decode_start = Instant::now();
         let mut outputs = Vec::with_capacity(functions);
@@ -237,38 +112,27 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
                 .iter()
                 .map(|o| (o.worker, o.payload[function].clone()))
                 .collect();
-            let decoded = decoder.decode_with_errors(&results, config.byzantine, rng);
-            let (blocks, detected) = match decoded {
-                Ok(outcome) => outcome,
-                Err(DecodeError::TooManyErrors) => {
-                    let fallback = decoder.decode_erasure(&results[..threshold]).map_err(|e| {
-                        SchemeFailure::DecodeFailed {
-                            details: e.to_string(),
-                        }
-                    })?;
-                    (fallback, Vec::new())
-                }
-                Err(other) => {
-                    return Err(SchemeFailure::DecodeFailed {
-                        details: other.to_string(),
-                    })
-                }
-            };
-            for worker in detected {
-                if !detected_byzantine.contains(&worker) {
-                    detected_byzantine.push(worker);
-                }
-            }
-            let mut output = Vec::with_capacity(config.partitions * block_rows);
-            for block in blocks {
-                output.extend(block);
-            }
-            output.truncate(self.dataset.output_rows());
-            outputs.push(output);
+            let (blocks, detected) =
+                match decoder.decode_with_errors(&results, config.byzantine, rng) {
+                    Ok(outcome) => outcome,
+                    // Beyond the designed correction capability: a real
+                    // decoder emits an incorrect reconstruction. Erasure-decode
+                    // the fastest threshold results, corrupted or not.
+                    Err(DecodeError::TooManyErrors) => {
+                        (decoder.decode_erasure(&results[..threshold])?, Vec::new())
+                    }
+                    Err(other) => return Err(other.into()),
+                };
+            detected_byzantine.extend(detected);
+            outputs.push(assemble(blocks, &self.dataset));
         }
         detected_byzantine.sort_unstable();
+        detected_byzantine.dedup();
         costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
 
+        // Reed–Solomon error decoding interpolates through all `wait_count`
+        // results (the syndrome/locator work is the extra `wait_count²` term
+        // LCC pays over an erasure decode), once per function.
         let ops = OpCounts {
             worker_macs: (block_rows * functions * cols) as u64,
             verify_macs: 0,
@@ -276,30 +140,27 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
                 * (block_rows * wait_count * config.partitions + wait_count * wait_count))
                 as u64,
         };
-        Ok(BatchExecution {
+        Ok(RoundExecution {
             outputs,
             costs,
             ops,
             used_workers: used.iter().map(|o| o.worker).collect(),
             detected_byzantine,
             observed_stragglers,
+            // LCC has no pre-decode screen and localizes workers, not
+            // functions: Byzantine workers surface through error decoding.
             screened_workers: Vec::new(),
-            // LCC decoding identifies workers, not functions: localization is
-            // a verification-side capability AVCC adds.
             corrupted_functions: Vec::new(),
         })
-    }
-
-    fn decode_cache_stats(&self) -> (u64, u64) {
-        self.dataset.basis_cache_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::test_support::run_round;
     use avcc_field::{F25, P25};
-    use avcc_linalg::mat_vec;
+    use avcc_linalg::{mat_vec, Matrix};
     use avcc_sim::attack::{AttackModel, ByzantineSpec};
     use avcc_sim::cluster::ClusterProfile;
     use avcc_sim::executor::VirtualExecutor;
@@ -318,12 +179,18 @@ mod tests {
         let (matrix, input, expected) = setup();
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
-        let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let engine =
+            LccMatVec::<P25>::over(Arc::new(EncodedDataset::encode(&matrix, config, &mut rng)));
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &ByzantineSpec::none(),
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         assert_eq!(round.used_workers.len(), 11); // N - S
         assert!(round.detected_byzantine.is_empty());
     }
@@ -333,17 +200,23 @@ mod tests {
         let (matrix, input, expected) = setup();
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
+        let engine =
+            LccMatVec::<P25>::over(Arc::new(EncodedDataset::encode(&matrix, config, &mut rng)));
         // Pin the dropped straggler to worker 11: under wall-clock noise any
         // uniform worker can be the slowest, and if the Byzantine worker were
         // dropped there would be nothing left to detect.
         let profile = ClusterProfile::uniform(12).with_stragglers(&[11], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([5], AttackModel::reverse());
-        let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &byzantine,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         assert_eq!(round.detected_byzantine, vec![5]);
     }
 
@@ -357,13 +230,22 @@ mod tests {
         // result in every decode regardless of timing.
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let engine =
+            LccMatVec::<P25>::over(Arc::new(EncodedDataset::encode(&matrix, config, &mut rng)));
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([2, 5, 7, 9], AttackModel::constant());
-        let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
-            .unwrap();
-        assert_ne!(round.output, expected, "LCC beyond capability should err");
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &byzantine,
+            &mut rng,
+        )
+        .unwrap();
+        assert_ne!(
+            round.outputs[0], expected,
+            "LCC beyond capability should err"
+        );
     }
 
     #[test]
@@ -371,13 +253,19 @@ mod tests {
         let (matrix, input, expected) = setup();
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
+        let engine =
+            LccMatVec::<P25>::over(Arc::new(EncodedDataset::encode(&matrix, config, &mut rng)));
         let profile = ClusterProfile::uniform(12).with_stragglers(&[3], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
-        let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &ByzantineSpec::none(),
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         assert!(
             !round.used_workers.contains(&3),
             "straggler should be excluded"
@@ -390,7 +278,8 @@ mod tests {
         let (matrix, _, _) = setup();
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
-        assert_eq!(engine.encoded_bytes(), 12 * 2 * 6 * 8);
+        let engine =
+            LccMatVec::<P25>::over(Arc::new(EncodedDataset::encode(&matrix, config, &mut rng)));
+        assert_eq!(engine.dataset().encoded_bytes(), 12 * 2 * 6 * 8);
     }
 }

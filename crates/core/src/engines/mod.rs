@@ -1,45 +1,34 @@
 //! The per-scheme execution engines.
 //!
-//! Each engine owns the data it distributed to its workers (raw blocks for the
-//! uncoded scheme, coded shares for LCC/AVCC) plus whatever master-side state
-//! the scheme needs (a Reed–Solomon decoder for LCC, Freivalds keys for AVCC)
-//! and knows how to run one distributed matrix–vector round end to end.
-//!
-//! Since PR6 the round is split into the master's two halves so a scheduler
-//! can interleave rounds from many jobs on one fleet:
+//! Each engine is a lightweight *session* over a shared
+//! [`EncodedDataset`] — raw blocks for the uncoded scheme, coded shares for
+//! LCC/AVCC, encoded once and shared through an `Arc` — plus whatever
+//! master-side state the scheme needs (Freivalds keys and the dual-codeword
+//! screen for AVCC). A session knows the two master-side halves of a round;
+//! the compute in between always runs on an
+//! [`avcc_sim::executor::Executor`] (usually through
+//! [`crate::distributed::WireRunner`]) or on a serving fleet:
 //!
 //! 1. [`MatVecEngine::dispatch`] — encode-side: build one [`RoundTask`] per
-//!    worker (cheap `Arc` handles onto the engine's shares plus the broadcast
-//!    input).
-//! 2. *compute* — somebody runs the tasks: the serial [`VirtualExecutor`]
-//!    inside [`MatVecEngine::execute`], or a multi-job fleet scheduler on
-//!    real threads.
-//! 3. [`MatVecEngine::collect`] — decode-side: given the arrival-ordered
+//!    worker (an `Arc` handle onto the worker's share plus the round's `m`
+//!    broadcast inputs). A provided method over the dataset's shares.
+//! 2. [`MatVecEngine::collect`] — decode-side: given the arrival-ordered
 //!    outcomes, establish integrity (Freivalds for AVCC, error decoding for
-//!    LCC), reconstruct the product and account the round's costs.
+//!    LCC), reconstruct the `m` products and account the round's costs.
 //!
-//! [`MatVecEngine::execute`] is a provided method gluing the three together
-//! on a `VirtualExecutor`; every experiment continues to go through it, and
-//! the split is bit-transparent to them.
-//!
-//! Since PR7 the engines are lightweight *sessions* over a shared
-//! [`avcc_coding::EncodedDataset`]: the `::over` constructors take an
-//! `Arc`'d dataset encoded once, and a second, batched round shape —
-//! [`MatVecEngine::dispatch_batch`] / [`MatVecEngine::collect_batch`] —
-//! carries `m` input vectors per worker task so `m` matrix–vector products
-//! amortize one encode (and, for AVCC, one batched Freivalds pass). The
-//! original `::new` constructors remain as thin wrappers that build a private
-//! dataset, so existing experiments are untouched.
+//! A single matrix–vector product is the `m = 1` round: every engine has one
+//! collect, and single-function rounds pay exactly what they did before the
+//! batched shape existed (AVCC draws no batching scalar and combines nothing
+//! when `m = 1`).
 
+use std::sync::Arc;
+
+use avcc_coding::EncodedDataset;
 use avcc_field::{Fp, PrimeModulus};
-use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::cluster::NetworkModel;
-use avcc_sim::executor::{VirtualExecutor, WorkerOutcome};
 use rand::rngs::StdRng;
 
-use crate::rounds::{
-    field_vector_bytes, BatchExecution, BatchRoundTask, RoundExecution, RoundTask, SchemeFailure,
-};
+use crate::rounds::{Arrival, RoundExecution, RoundTask, SchemeFailure};
 
 pub mod avcc;
 pub mod lcc;
@@ -49,21 +38,24 @@ pub use avcc::AvccMatVec;
 pub use lcc::LccMatVec;
 pub use uncoded::UncodedMatVec;
 
-/// A distributed matrix–vector engine: one per (scheme, matrix) pair.
+/// A distributed matrix–vector engine: one session per (scheme, dataset)
+/// pair.
 ///
 /// The training driver holds two engines per scheme — one for round 1
 /// (`X`, row-partitioned) and one for round 2 (`Xᵀ`, row-partitioned) — and
-/// calls [`MatVecEngine::execute`] with the quantized weight vector and the
-/// quantized error vector respectively. A serving scheduler instead calls
-/// [`MatVecEngine::dispatch`] / [`MatVecEngine::collect`] around its own
-/// fleet execution.
+/// runs each round with one input (the quantized weights, then the quantized
+/// error vector). A serving job runs one round with its `m` inputs.
 pub trait MatVecEngine<M: PrimeModulus> {
     /// Human-readable scheme name (for reports).
     fn name(&self) -> &'static str;
 
-    /// The number of workers this engine dispatches to. The executor's
-    /// cluster profile must have exactly this many workers.
-    fn workers(&self) -> usize;
+    /// The shared dataset this session dispatches against.
+    fn dataset(&self) -> &Arc<EncodedDataset<M>>;
+
+    /// The number of workers this engine dispatches to.
+    fn workers(&self) -> usize {
+        self.dataset().workers()
+    }
 
     /// The minimum number of arrived results [`MatVecEngine::collect`] needs
     /// before it can possibly succeed: the recovery threshold for AVCC, the
@@ -75,119 +67,85 @@ pub trait MatVecEngine<M: PrimeModulus> {
     /// [`MatVecEngine::workers`] have arrived.
     fn min_results(&self) -> usize;
 
-    /// Builds the round's worker tasks for the given broadcast input, one per
-    /// worker, in worker order.
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>>;
+    /// Builds the round's worker tasks for `m` broadcast inputs, one task per
+    /// worker (each carrying all `m` inputs), in worker order.
+    fn dispatch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<RoundTask<M>> {
+        let inputs = Arc::new(inputs.to_vec());
+        self.dataset()
+            .shares()
+            .iter()
+            .enumerate()
+            .map(|(worker, share)| RoundTask::batch(worker, Arc::clone(share), Arc::clone(&inputs)))
+            .collect()
+    }
 
     /// Reconstructs the round from arrival-ordered worker `outcomes` of the
-    /// tasks built by [`MatVecEngine::dispatch`] for the same `input`.
+    /// tasks built by [`MatVecEngine::dispatch`] for the same `inputs` (see
+    /// [`crate::rounds::arrivals`] for borrowing any outcome shape).
     ///
     /// `network` and `time_scale` feed the cost model (broadcast cost and
-    /// master-side work scaling). On `Err` the engine's state is unchanged, so
-    /// the call may be retried with more outcomes.
+    /// master-side work scaling). The outputs are exact over the field, so
+    /// they do not depend on which sufficient set of honest results was
+    /// used. On `Err` nothing was consumed, so the call may be retried with
+    /// more outcomes.
+    ///
+    /// # Panics
+    /// Panics if `inputs` is empty.
     fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
+        &self,
+        inputs: &[Vec<Fp<M>>],
+        outcomes: &[Arrival<'_, M>],
         network: &NetworkModel,
         time_scale: f64,
         rng: &mut StdRng,
     ) -> Result<RoundExecution<M>, SchemeFailure>;
 
-    /// Builds the batched round's worker tasks for `m` broadcast inputs, one
-    /// task per worker (each carrying all `m` inputs), in worker order.
-    fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>>;
-
-    /// Reconstructs a batched round from arrival-ordered worker `outcomes` of
-    /// the tasks built by [`MatVecEngine::dispatch_batch`] for the same
-    /// `inputs`: `m` products over one dispatch, one wait, and (for AVCC) one
-    /// batched Freivalds pass per arrival with per-function fallback.
-    ///
-    /// The outputs are bit-identical to `m` independent
-    /// [`MatVecEngine::collect`] rounds over the same dataset — all decode
-    /// paths are exact over the field. On `Err` the engine's state is
-    /// unchanged, so the call may be retried with more outcomes.
-    fn collect_batch(
-        &mut self,
-        inputs: &[Vec<Fp<M>>],
-        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        rng: &mut StdRng,
-    ) -> Result<BatchExecution<M>, SchemeFailure>;
-
-    /// `(hits, misses)` of the engine's shared decoder basis cache — `(0, 0)`
-    /// for engines with nothing to decode. Counters are cumulative over the
-    /// dataset's lifetime and shared with every other session over the same
-    /// [`avcc_coding::EncodedDataset`].
+    /// `(hits, misses)` of the session's shared decoder basis cache — `(0, 0)`
+    /// for raw datasets, which have nothing to decode. Counters are
+    /// cumulative over the dataset's lifetime and shared with every other
+    /// session over the same [`EncodedDataset`].
     fn decode_cache_stats(&self) -> (u64, u64) {
-        (0, 0)
+        self.dataset().basis_cache_stats()
     }
+}
 
-    /// Runs one distributed matrix–vector product of the engine's matrix with
-    /// `input`, under the given cluster and attack conditions: dispatch, run
-    /// every task on the serial virtual executor, collect.
-    fn execute(
-        &mut self,
-        input: &[Fp<M>],
-        executor: &VirtualExecutor,
+/// Concatenates a decode's `K` output blocks into the full product, trimming
+/// the zero rows the dataset padded the matrix with.
+fn assemble<M: PrimeModulus>(blocks: Vec<Vec<Fp<M>>>, dataset: &EncodedDataset<M>) -> Vec<Fp<M>> {
+    let mut output: Vec<Fp<M>> = blocks.into_iter().flatten().collect();
+    output.truncate(dataset.output_rows());
+    output
+}
+
+#[cfg(test)]
+pub(crate) mod test_support {
+    //! The engine tests' one round helper: dispatch, run on a
+    //! [`VirtualExecutor`] through [`WireRunner`], collect.
+
+    use avcc_field::{Fp, PrimeModulus};
+    use avcc_sim::attack::ByzantineSpec;
+    use avcc_sim::executor::VirtualExecutor;
+    use rand::rngs::StdRng;
+
+    use super::MatVecEngine;
+    use crate::distributed::WireRunner;
+    use crate::rounds::{arrivals, RoundExecution, SchemeFailure};
+
+    /// Runs one `m = inputs.len()` round of `engine` on `executor` with
+    /// `byzantine` corruption applied on arrival.
+    pub(crate) fn run_round<M: PrimeModulus>(
+        engine: &dyn MatVecEngine<M>,
+        inputs: &[Vec<Fp<M>>],
+        executor: &mut VirtualExecutor,
         byzantine: &ByzantineSpec,
         rng: &mut StdRng,
     ) -> Result<RoundExecution<M>, SchemeFailure> {
-        let jobs: Vec<_> = self
-            .dispatch(input)
-            .into_iter()
-            .map(|task| move || task.run())
-            .collect();
-        let outcomes = executor.run_round(
-            jobs,
-            |payload: &Vec<Fp<M>>| field_vector_bytes(payload.len()),
-            |worker, payload: &mut Vec<Fp<M>>| byzantine.corrupt(worker, payload),
-        );
-        self.collect(
-            input,
-            &outcomes,
-            &executor.profile().network,
-            executor.time_scale,
-            rng,
-        )
-    }
-
-    /// Runs one *batched* round — `m` products of the engine's matrix with
-    /// `inputs` — on the serial virtual executor: dispatch-batch, run, collect.
-    /// Byzantine workers corrupt every function of their payload (a corrupted
-    /// node does not selectively spare sub-results).
-    fn execute_batch(
-        &mut self,
-        inputs: &[Vec<Fp<M>>],
-        executor: &VirtualExecutor,
-        byzantine: &ByzantineSpec,
-        rng: &mut StdRng,
-    ) -> Result<BatchExecution<M>, SchemeFailure> {
-        let jobs: Vec<_> = self
-            .dispatch_batch(inputs)
-            .into_iter()
-            .map(|task| move || task.run())
-            .collect();
-        let outcomes = executor.run_round(
-            jobs,
-            |payload: &Vec<Vec<Fp<M>>>| {
-                field_vector_bytes(payload.iter().map(Vec::len).sum::<usize>())
-            },
-            |worker, payload: &mut Vec<Vec<Fp<M>>>| {
-                let mut any = false;
-                for part in payload.iter_mut() {
-                    any |= byzantine.corrupt(worker, part);
-                }
-                any
-            },
-        );
-        self.collect_batch(
-            inputs,
-            &outcomes,
-            &executor.profile().network,
-            executor.time_scale,
-            rng,
-        )
+        let tasks = engine.dispatch(inputs);
+        let outcomes = WireRunner::new()
+            .run_batch_round(executor, 0, &tasks, byzantine)
+            .expect("the virtual executor runs every round");
+        let network = executor.profile().network;
+        let time_scale = executor.time_scale;
+        engine.collect(inputs, &arrivals(&outcomes), &network, time_scale, rng)
     }
 }

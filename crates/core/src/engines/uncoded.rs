@@ -11,20 +11,17 @@ use std::time::Instant;
 
 use avcc_coding::EncodedDataset;
 use avcc_field::{Fp, PrimeModulus};
-use avcc_linalg::Matrix;
 use avcc_sim::cluster::NetworkModel;
-use avcc_sim::executor::WorkerOutcome;
 use avcc_sim::metrics::OpCounts;
 use rand::rngs::StdRng;
 
 use crate::engines::MatVecEngine;
 use crate::rounds::{
-    detect_stragglers, field_vector_bytes, waiting_costs, BatchExecution, BatchRoundTask,
-    RoundExecution, RoundTask, SchemeFailure,
+    detect_stragglers, field_vector_bytes, waiting_costs, Arrival, RoundExecution, SchemeFailure,
 };
 
-/// The uncoded distributed matrix–vector engine: a per-function session over
-/// a shared raw-partitioned [`EncodedDataset`].
+/// The uncoded distributed matrix–vector engine: a session over a shared
+/// raw-partitioned [`EncodedDataset`].
 #[derive(Debug, Clone)]
 pub struct UncodedMatVec<M: PrimeModulus> {
     dataset: Arc<EncodedDataset<M>>,
@@ -43,26 +40,6 @@ impl<M: PrimeModulus> UncodedMatVec<M> {
         );
         UncodedMatVec { dataset }
     }
-
-    /// Splits the full matrix into `partitions` raw row blocks — the
-    /// single-function convenience wrapper around
-    /// [`EncodedDataset::partitioned`] plus [`UncodedMatVec::over`].
-    ///
-    /// # Panics
-    /// Panics if the row count is not divisible by `partitions`.
-    pub fn new(matrix: &Matrix<Fp<M>>, partitions: usize) -> Self {
-        Self::over(Arc::new(EncodedDataset::partitioned(matrix, partitions)))
-    }
-
-    /// The shared dataset this session dispatches against.
-    pub fn dataset(&self) -> &Arc<EncodedDataset<M>> {
-        &self.dataset
-    }
-
-    /// The per-block row count.
-    pub fn block_rows(&self) -> usize {
-        self.dataset.block_rows()
-    }
 }
 
 impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
@@ -70,94 +47,23 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
         "uncoded"
     }
 
-    fn workers(&self) -> usize {
-        self.dataset.workers()
+    fn dataset(&self) -> &Arc<EncodedDataset<M>> {
+        &self.dataset
     }
 
     fn min_results(&self) -> usize {
         self.dataset.workers()
     }
 
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>> {
-        let input = Arc::new(input.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, block)| RoundTask::new(worker, Arc::clone(block), Arc::clone(&input)))
-            .collect()
-    }
-
     fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
+        &self,
+        inputs: &[Vec<Fp<M>>],
+        outcomes: &[Arrival<'_, M>],
         network: &NetworkModel,
         time_scale: f64,
         _rng: &mut StdRng,
     ) -> Result<RoundExecution<M>, SchemeFailure> {
-        let workers = self.dataset.workers();
-        let block_rows = self.dataset.block_rows();
-        if outcomes.len() < workers {
-            return Err(SchemeFailure::NotEnoughResults {
-                available: outcomes.len(),
-                required: workers,
-            });
-        }
-        let observed_stragglers = detect_stragglers(outcomes);
-        // The master needs every result, so it pays for the slowest worker.
-        let used: Vec<_> = outcomes.iter().collect();
-        let mut costs = waiting_costs(&used, network, field_vector_bytes(input.len()), workers);
-
-        // Reassembly (concatenation in block order) is the uncoded "decode";
-        // it is nearly free but measured for completeness.
-        let reassembly_start = Instant::now();
-        let mut output = vec![Fp::<M>::ZERO; workers * block_rows];
-        for outcome in outcomes {
-            let start = outcome.worker * block_rows;
-            output[start..start + block_rows].copy_from_slice(&outcome.payload);
-        }
-        costs.decoding = reassembly_start.elapsed().as_secs_f64() * time_scale;
-
-        // No verification and no real decode: reassembly is data movement,
-        // not multiply–accumulate work.
-        let ops = OpCounts {
-            worker_macs: (block_rows * input.len()) as u64,
-            verify_macs: 0,
-            decode_macs: 0,
-        };
-        Ok(RoundExecution {
-            output,
-            costs,
-            ops,
-            used_workers: outcomes.iter().map(|o| o.worker).collect(),
-            detected_byzantine: Vec::new(),
-            observed_stragglers,
-            screened_workers: Vec::new(),
-        })
-    }
-
-    fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>> {
-        let inputs = Arc::new(inputs.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, block)| {
-                BatchRoundTask::new(worker, Arc::clone(block), Arc::clone(&inputs))
-            })
-            .collect()
-    }
-
-    fn collect_batch(
-        &mut self,
-        inputs: &[Vec<Fp<M>>],
-        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        _rng: &mut StdRng,
-    ) -> Result<BatchExecution<M>, SchemeFailure> {
-        assert!(!inputs.is_empty(), "batched round needs at least one input");
+        assert!(!inputs.is_empty(), "a round needs at least one input");
         let functions = inputs.len();
         let cols = inputs[0].len();
         let workers = self.dataset.workers();
@@ -169,6 +75,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
             });
         }
         let observed_stragglers = detect_stragglers(outcomes);
+        // The master needs every result, so it pays for the slowest worker.
         let used: Vec<_> = outcomes.iter().collect();
         let mut costs = waiting_costs(
             &used,
@@ -177,22 +84,26 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
             workers,
         );
 
+        // Reassembly (concatenation in block order) is the uncoded "decode";
+        // it is nearly free but measured for completeness.
         let reassembly_start = Instant::now();
         let mut outputs = vec![vec![Fp::<M>::ZERO; workers * block_rows]; functions];
         for outcome in outcomes {
             let start = outcome.worker * block_rows;
-            for (function, part) in outcome.payload.iter().enumerate() {
-                outputs[function][start..start + block_rows].copy_from_slice(part);
+            for (output, part) in outputs.iter_mut().zip(outcome.payload.iter()) {
+                output[start..start + block_rows].copy_from_slice(part);
             }
         }
         costs.decoding = reassembly_start.elapsed().as_secs_f64() * time_scale;
 
+        // No verification and no real decode: reassembly is data movement,
+        // not multiply–accumulate work.
         let ops = OpCounts {
             worker_macs: (block_rows * functions * cols) as u64,
             verify_macs: 0,
             decode_macs: 0,
         };
-        Ok(BatchExecution {
+        Ok(RoundExecution {
             outputs,
             costs,
             ops,
@@ -208,8 +119,9 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::test_support::run_round;
     use avcc_field::{F25, P25};
-    use avcc_linalg::mat_vec;
+    use avcc_linalg::{mat_vec, Matrix};
     use avcc_sim::attack::{AttackModel, ByzantineSpec};
     use avcc_sim::cluster::ClusterProfile;
     use avcc_sim::executor::VirtualExecutor;
@@ -227,13 +139,18 @@ mod tests {
     fn honest_round_reconstructs_the_product() {
         let (matrix, input) = setup(18, 5, 9);
         let expected = mat_vec(&matrix, &input);
-        let mut engine = UncodedMatVec::<P25>::new(&matrix, 9);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(9)).with_time_scale(1.0);
+        let engine = UncodedMatVec::<P25>::over(Arc::new(EncodedDataset::partitioned(&matrix, 9)));
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(9)).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
-            .unwrap();
-        assert_eq!(round.output, expected);
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &ByzantineSpec::none(),
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(round.outputs[0], expected);
         assert_eq!(round.used_workers.len(), 9);
         assert!(round.detected_byzantine.is_empty());
     }
@@ -242,45 +159,64 @@ mod tests {
     fn byzantine_corruption_silently_pollutes_the_output() {
         let (matrix, input) = setup(12, 4, 6);
         let expected = mat_vec(&matrix, &input);
-        let mut engine = UncodedMatVec::<P25>::new(&matrix, 6);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
+        let engine = UncodedMatVec::<P25>::over(Arc::new(EncodedDataset::partitioned(&matrix, 6)));
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([2], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(3);
-        let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
-            .unwrap();
-        assert_ne!(round.output, expected, "corruption should reach the output");
+        let round = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut executor,
+            &byzantine,
+            &mut rng,
+        )
+        .unwrap();
+        assert_ne!(
+            round.outputs[0], expected,
+            "corruption should reach the output"
+        );
         // The uncoded scheme has no way to notice.
         assert!(round.detected_byzantine.is_empty());
         // Untouched blocks are still correct.
-        assert_eq!(round.output[..4], expected[..4]);
+        assert_eq!(round.outputs[0][..4], expected[..4]);
     }
 
     #[test]
     fn straggler_inflates_the_round_cost() {
         let (matrix, input) = setup(12, 4, 6);
-        let mut engine = UncodedMatVec::<P25>::new(&matrix, 6);
+        let engine = UncodedMatVec::<P25>::over(Arc::new(EncodedDataset::partitioned(&matrix, 6)));
         let mut rng = StdRng::seed_from_u64(4);
-        let fast = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
-        let slow = VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 200.0))
-            .with_time_scale(1.0);
+        let mut fast = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
+        let mut slow =
+            VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 200.0))
+                .with_time_scale(1.0);
         // Wall-clock-derived virtual costs are noisy under parallel test
         // load; take the fastest of a few unloaded runs as the baseline (a
         // scheduling blip can only inflate a measurement, never deflate it)
         // against the x200 straggler's round.
         let fast_compute = (0..3)
             .map(|_| {
-                engine
-                    .execute(&input, &fast, &ByzantineSpec::none(), &mut rng)
-                    .unwrap()
-                    .costs
-                    .compute
+                run_round(
+                    &engine,
+                    std::slice::from_ref(&input),
+                    &mut fast,
+                    &ByzantineSpec::none(),
+                    &mut rng,
+                )
+                .unwrap()
+                .costs
+                .compute
             })
             .fold(f64::INFINITY, f64::min);
-        let slow_costs = engine
-            .execute(&input, &slow, &ByzantineSpec::none(), &mut rng)
-            .unwrap()
-            .costs;
+        let slow_costs = run_round(
+            &engine,
+            std::slice::from_ref(&input),
+            &mut slow,
+            &ByzantineSpec::none(),
+            &mut rng,
+        )
+        .unwrap()
+        .costs;
         assert!(slow_costs.compute > fast_compute * 5.0);
     }
 }

@@ -1,14 +1,17 @@
 //! Shared round-execution types and helpers used by every scheme engine.
 //!
-//! One "round" is one distributed matrix–vector product: broadcast an input
-//! vector, have every worker multiply it with its (coded or raw) block, and
-//! reconstruct the full product at the master. The engines differ in how many
+//! One "round" is `m ≥ 1` distributed matrix–vector products over one
+//! (coded or raw) dataset: broadcast the `m` input vectors, have every
+//! worker multiply each of them with its block, and reconstruct the `m`
+//! full products at the master. A single product is the `m = 1` round; there
+//! is no separate single-function path. The engines differ in how many
 //! results they wait for and how they establish integrity; the bookkeeping —
 //! who was used, who straggled, what each phase cost — is common and lives
 //! here.
 
 use std::sync::Arc;
 
+use avcc_coding::decoder::DecodeError;
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_sim::executor::WorkerOutcome;
@@ -16,46 +19,57 @@ use avcc_sim::metrics::{IterationCosts, OpCounts};
 use avcc_sim::NetworkModel;
 
 /// One worker's share of a dispatched round: the (coded or raw) matrix block
-/// the worker holds plus the broadcast input vector.
+/// the worker holds plus the round's `m` broadcast input vectors.
 ///
 /// Both halves sit behind [`Arc`]s, so the task is cheap to clone and `Send`
-/// — an engine can hand the same round out to a [`crate::driver`]'s serial
-/// executor or to a multi-job fleet scheduler that runs it on another
-/// thread, without the task borrowing the engine (the master needs the
-/// engine back, mutably, to collect the results while the tasks are still
-/// in flight).
+/// — an engine can hand the same round to any executor or to a multi-job
+/// fleet scheduler that runs it on another thread, without the task
+/// borrowing the engine.
 #[derive(Debug, Clone)]
 pub struct RoundTask<M: PrimeModulus> {
     /// The worker this task is addressed to.
     pub worker: usize,
     matrix: Arc<Matrix<Fp<M>>>,
-    input: Arc<Vec<Fp<M>>>,
+    inputs: Arc<Vec<Vec<Fp<M>>>>,
 }
 
 impl<M: PrimeModulus> RoundTask<M> {
-    /// A task multiplying `matrix` by `input` at `worker`.
+    /// A single-function task multiplying `matrix` by `input` at `worker`:
+    /// the `m = 1` case of [`RoundTask::batch`].
     pub fn new(worker: usize, matrix: Arc<Matrix<Fp<M>>>, input: Arc<Vec<Fp<M>>>) -> Self {
+        Self::batch(worker, matrix, Arc::new(vec![Arc::unwrap_or_clone(input)]))
+    }
+
+    /// A task multiplying `matrix` by each of `inputs` at `worker`.
+    pub fn batch(worker: usize, matrix: Arc<Matrix<Fp<M>>>, inputs: Arc<Vec<Vec<Fp<M>>>>) -> Self {
         RoundTask {
             worker,
             matrix,
-            input,
+            inputs,
         }
     }
 
-    /// Runs the worker's computation: the block–vector product.
+    /// Runs a single-function task: the block–vector product.
+    ///
+    /// # Panics
+    /// Panics if the task carries more than one function (use
+    /// [`RoundTask::run_all`]).
     pub fn run(&self) -> Vec<Fp<M>> {
-        mat_vec(&self.matrix, &self.input)
+        mat_vec(&self.matrix, self.input())
     }
 
-    /// Rows of this worker's block — the length of the payload [`RoundTask::run`]
-    /// produces.
-    pub fn output_rows(&self) -> usize {
-        self.matrix.rows()
+    /// Runs every function of the task: one block–vector product per input,
+    /// in function order.
+    pub fn run_all(&self) -> Vec<Vec<Fp<M>>> {
+        self.inputs
+            .iter()
+            .map(|input| mat_vec(&self.matrix, input))
+            .collect()
     }
 
-    /// First-order MAC count of this task's product.
-    pub fn macs(&self) -> u64 {
-        (self.matrix.rows() * self.matrix.cols()) as u64
+    /// Number of functions (input vectors) the task carries.
+    pub fn functions(&self) -> usize {
+        self.inputs.len()
     }
 
     /// The worker's (coded or raw) matrix block, behind the engine's `Arc`.
@@ -69,64 +83,19 @@ impl<M: PrimeModulus> RoundTask<M> {
         &self.matrix
     }
 
-    /// The broadcast input vector of this task.
+    /// The input vector of a single-function task.
+    ///
+    /// # Panics
+    /// Panics if the task carries more than one function (use
+    /// [`RoundTask::inputs`]).
     pub fn input(&self) -> &[Fp<M>] {
-        &self.input
-    }
-}
-
-/// One worker's share of a dispatched *batched* round: the same (coded or
-/// raw) block applied to `m` broadcast input vectors at once — the
-/// multi-function shape `X̃·w₁ … X̃·wₘ` that amortizes a single encode.
-///
-/// Like [`RoundTask`], both halves sit behind [`Arc`]s so the task is cheap
-/// to clone and `Send`.
-#[derive(Debug, Clone)]
-pub struct BatchRoundTask<M: PrimeModulus> {
-    /// The worker this task is addressed to.
-    pub worker: usize,
-    matrix: Arc<Matrix<Fp<M>>>,
-    inputs: Arc<Vec<Vec<Fp<M>>>>,
-}
-
-impl<M: PrimeModulus> BatchRoundTask<M> {
-    /// A task multiplying `matrix` by each of `inputs` at `worker`.
-    pub fn new(worker: usize, matrix: Arc<Matrix<Fp<M>>>, inputs: Arc<Vec<Vec<Fp<M>>>>) -> Self {
-        BatchRoundTask {
-            worker,
-            matrix,
-            inputs,
-        }
-    }
-
-    /// Runs the worker's computation: one block–vector product per function,
-    /// in function order.
-    pub fn run(&self) -> Vec<Vec<Fp<M>>> {
-        self.inputs
-            .iter()
-            .map(|input| mat_vec(&self.matrix, input))
-            .collect()
-    }
-
-    /// Number of functions (input vectors) in the batch.
-    pub fn functions(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Rows of this worker's block — the length of each per-function payload.
-    pub fn output_rows(&self) -> usize {
-        self.matrix.rows()
-    }
-
-    /// First-order MAC count of this task's `m` products.
-    pub fn macs(&self) -> u64 {
-        (self.matrix.rows() * self.matrix.cols() * self.inputs.len()) as u64
-    }
-
-    /// The worker's (coded or raw) matrix block, behind the engine's `Arc`
-    /// (see [`RoundTask::matrix`] for why the handle itself is exposed).
-    pub fn matrix(&self) -> &Arc<Matrix<Fp<M>>> {
-        &self.matrix
+        assert_eq!(
+            self.inputs.len(),
+            1,
+            "input() is for single-function tasks; this one carries {} functions",
+            self.inputs.len()
+        );
+        &self.inputs[0]
     }
 
     /// The `m` broadcast input vectors of this task, in function order.
@@ -135,12 +104,58 @@ impl<M: PrimeModulus> BatchRoundTask<M> {
     }
 }
 
-/// The outcome of one distributed matrix–vector round.
+/// A worker payload as a collect reads it: the worker's per-function
+/// outputs, in function order. A bare `Vec<Fp<M>>` is the single-function
+/// (`m = 1`) payload, so single-function outcomes reach the collect without
+/// being copied into a batch shape.
+pub trait FunctionOutputs<M: PrimeModulus> {
+    /// The per-function outputs.
+    fn outputs(&self) -> &[Vec<Fp<M>>];
+}
+
+impl<M: PrimeModulus> FunctionOutputs<M> for Vec<Fp<M>> {
+    fn outputs(&self) -> &[Vec<Fp<M>>] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl<M: PrimeModulus> FunctionOutputs<M> for Vec<Vec<Fp<M>>> {
+    fn outputs(&self) -> &[Vec<Fp<M>>] {
+        self
+    }
+}
+
+/// One arrival as [`crate::MatVecEngine::collect`] reads it: the outcome's
+/// timing plus its per-function outputs, borrowed.
+pub type Arrival<'a, M> = WorkerOutcome<&'a [Vec<Fp<M>>]>;
+
+/// Borrows arrival-ordered outcomes as [`Arrival`]s (no payload is copied).
+pub fn arrivals<M: PrimeModulus, P: FunctionOutputs<M>>(
+    outcomes: &[WorkerOutcome<P>],
+) -> Vec<Arrival<'_, M>> {
+    outcomes
+        .iter()
+        .map(|outcome| WorkerOutcome {
+            worker: outcome.worker,
+            payload: outcome.payload.outputs(),
+            compute_seconds: outcome.compute_seconds,
+            network_seconds: outcome.network_seconds,
+            arrival_seconds: outcome.arrival_seconds,
+            corrupted: outcome.corrupted,
+        })
+        .collect()
+}
+
+/// The outcome of one distributed round: `m` reconstructed products plus the
+/// round's bookkeeping.
 #[derive(Debug, Clone)]
 pub struct RoundExecution<M: PrimeModulus> {
-    /// The reconstructed product (length = rows of the full matrix).
-    pub output: Vec<Fp<M>>,
-    /// Cost breakdown charged to this round.
+    /// The reconstructed per-function products, in function order (each of
+    /// length = rows of the full matrix).
+    pub outputs: Vec<Vec<Fp<M>>>,
+    /// Cost breakdown charged to this round. Compute and communication are
+    /// paid once for the whole round; verification and decoding reflect the
+    /// (batched) check and the `m` per-function decodes.
     pub costs: IterationCosts,
     /// Deterministic operation counts for this round (see
     /// [`avcc_sim::metrics::OpCounts`]): dimension-derived, identical across
@@ -159,34 +174,9 @@ pub struct RoundExecution<M: PrimeModulus> {
     /// ran. Always a subset of `detected_byzantine`; empty for engines (or
     /// rounds) that never screened.
     pub screened_workers: Vec<usize>,
-}
-
-/// The outcome of one *batched* round: `m` reconstructed products over the
-/// shared encoded dataset, plus the common round bookkeeping.
-#[derive(Debug, Clone)]
-pub struct BatchExecution<M: PrimeModulus> {
-    /// The reconstructed per-function products, in function order (each of
-    /// length = rows of the full matrix).
-    pub outputs: Vec<Vec<Fp<M>>>,
-    /// Cost breakdown charged to this round. Compute and communication are
-    /// paid once for the whole batch; verification and decoding reflect the
-    /// batched check and the `m` per-function decodes.
-    pub costs: IterationCosts,
-    /// Deterministic operation counts for this round.
-    pub ops: OpCounts,
-    /// Workers whose results the master actually used for reconstruction.
-    pub used_workers: Vec<usize>,
-    /// Workers identified as Byzantine during this round.
-    pub detected_byzantine: Vec<usize>,
-    /// Workers observed to straggle in this round.
-    pub observed_stragglers: Vec<usize>,
-    /// Workers evicted by the pre-decode dual-codeword screen (run on the
-    /// σ-combined claims — see the AVCC engine). Always a subset of
-    /// `detected_byzantine`.
-    pub screened_workers: Vec<usize>,
-    /// Function indices localized as corrupted by the per-function fallback
-    /// after a batched check failed (sorted, deduplicated). Empty whenever
-    /// every examined worker passed the batched check.
+    /// Function indices localized as corrupted by a rejected or screened
+    /// worker (sorted, deduplicated). Empty whenever every examined worker
+    /// passed verification, and always empty for engines that do not verify.
     pub corrupted_functions: Vec<usize>,
 }
 
@@ -223,6 +213,14 @@ impl std::fmt::Display for SchemeFailure {
 }
 
 impl std::error::Error for SchemeFailure {}
+
+impl From<DecodeError> for SchemeFailure {
+    fn from(error: DecodeError) -> Self {
+        SchemeFailure::DecodeFailed {
+            details: error.to_string(),
+        }
+    }
+}
 
 /// Multiplier above the median arrival time beyond which a worker counts as
 /// an *observed* straggler (the adaptive controller's input `S_t`).

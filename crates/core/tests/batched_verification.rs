@@ -1,6 +1,6 @@
-//! The batched round's contract: `m` products collected through
-//! `dispatch_batch`/`collect_batch` are bit-identical to `m` independent
-//! single-function rounds (and to the plain `mat_vec` oracle), the batched
+//! The batched round's contract: `m` products collected in one round are
+//! bit-identical to `m` independent single-function (`m = 1`) rounds (and to
+//! the plain `mat_vec` oracle), the batched
 //! Freivalds pass accepts exactly when every per-function check accepts, and
 //! a corrupted function inside a batch is localized by the per-function
 //! fallback — across schemes and moduli.
@@ -8,7 +8,8 @@
 use std::sync::Arc;
 
 use avcc_coding::{EncodedDataset, SchemeConfig};
-use avcc_core::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
+use avcc_core::rounds::{arrivals, RoundExecution};
+use avcc_core::{AvccMatVec, LccMatVec, MatVecEngine, SchemeFailure, UncodedMatVec, WireRunner};
 use avcc_field::{Fp, PrimeModulus, P25, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_sim::attack::ByzantineSpec;
@@ -34,6 +35,22 @@ fn random_inputs<M: PrimeModulus>(
         .collect()
 }
 
+/// Runs one `m = inputs.len()` round of `engine` on a virtual executor
+/// through the wire runner: dispatch, compute, collect.
+fn run_round<M: PrimeModulus>(
+    engine: &dyn MatVecEngine<M>,
+    inputs: &[Vec<Fp<M>>],
+    executor: &mut VirtualExecutor,
+    rng: &mut StdRng,
+) -> Result<RoundExecution<M>, SchemeFailure> {
+    let tasks = engine.dispatch(inputs);
+    let outcomes = WireRunner::new()
+        .run_batch_round(executor, 0, &tasks, &ByzantineSpec::none())
+        .expect("the virtual executor runs every round");
+    let network = executor.profile().network;
+    engine.collect(inputs, &arrivals(&outcomes), &network, 1.0, rng)
+}
+
 /// Runs one batched round and `m` independent single rounds for every scheme
 /// over one modulus, asserting all outputs equal the `mat_vec` oracle exactly.
 fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usize) {
@@ -49,7 +66,7 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
     let avcc_coded = Arc::new(EncodedDataset::<M>::encode(&matrix, avcc_config, &mut rng));
     let lcc_coded = Arc::new(EncodedDataset::<M>::encode(&matrix, lcc_config, &mut rng));
     let raw = Arc::new(EncodedDataset::<M>::partitioned(&matrix, 9));
-    let mut engines: Vec<Box<dyn MatVecEngine<M>>> = vec![
+    let engines: Vec<Box<dyn MatVecEngine<M>>> = vec![
         Box::new(AvccMatVec::over(
             avcc_coded,
             KeyGenConfig::default(),
@@ -59,13 +76,11 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
         Box::new(UncodedMatVec::over(raw)),
     ];
 
-    for engine in engines.iter_mut() {
-        let executor =
+    for engine in &engines {
+        let mut executor =
             VirtualExecutor::new(ClusterProfile::uniform(engine.workers())).with_time_scale(1.0);
         let mut round_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let batch = engine
-            .execute_batch(&inputs, &executor, &ByzantineSpec::none(), &mut round_rng)
-            .unwrap();
+        let batch = run_round(engine.as_ref(), &inputs, &mut executor, &mut round_rng).unwrap();
         assert_eq!(batch.outputs.len(), functions);
         assert!(batch.corrupted_functions.is_empty());
         assert!(batch.detected_byzantine.is_empty());
@@ -79,12 +94,16 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
         }
         // m independent single-function rounds over the same session.
         for (function, input) in inputs.iter().enumerate() {
-            let single = engine
-                .execute(input, &executor, &ByzantineSpec::none(), &mut round_rng)
-                .unwrap();
+            let single = run_round(
+                engine.as_ref(),
+                std::slice::from_ref(input),
+                &mut executor,
+                &mut round_rng,
+            )
+            .unwrap();
             assert_eq!(
-                single.output,
-                oracle[function],
+                single.outputs,
+                vec![oracle[function].clone()],
                 "{}: single function {function} diverged from the oracle",
                 engine.name()
             );
@@ -112,11 +131,11 @@ fn manual_outcomes<M: PrimeModulus>(
     corruptions: &[(usize, usize)],
 ) -> Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>> {
     engine
-        .dispatch_batch(inputs)
+        .dispatch(inputs)
         .iter()
         .map(|task| {
             let worker = task.worker;
-            let mut payload = task.run();
+            let mut payload = task.run_all();
             for &(bad_worker, function) in corruptions {
                 if worker == bad_worker {
                     payload[function][0] += Fp::<M>::ONE;
@@ -144,16 +163,17 @@ fn corrupted_function_is_localized_for_modulus<M: PrimeModulus>(seed: u64, bad_f
     let inputs = random_inputs::<M>(&mut rng, functions, 6);
     let oracle: Vec<Vec<Fp<M>>> = inputs.iter().map(|input| mat_vec(&matrix, input)).collect();
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<M>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let dataset = Arc::new(EncodedDataset::encode(&matrix, config, &mut rng));
+    let engine = AvccMatVec::<M>::over(dataset, KeyGenConfig::default(), &mut rng);
 
     // Worker 0 arrives first (so the master is guaranteed to examine it) and
     // corrupts exactly one function of its batch payload.
     let outcomes = manual_outcomes(&engine, &inputs, &[(0, bad_function)]);
     let mut collect_rng = StdRng::seed_from_u64(seed ^ 0xbad);
     let batch = engine
-        .collect_batch(
+        .collect(
             &inputs,
-            &outcomes,
+            &arrivals(&outcomes),
             &NetworkModel::default(),
             1.0,
             &mut collect_rng,
@@ -194,15 +214,16 @@ fn multiple_corrupted_functions_are_all_localized() {
     let matrix = random_matrix::<P25>(&mut rng, 18, 6);
     let inputs = random_inputs::<P25>(&mut rng, functions, 6);
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let dataset = Arc::new(EncodedDataset::encode(&matrix, config, &mut rng));
+    let engine = AvccMatVec::<P25>::over(dataset, KeyGenConfig::default(), &mut rng);
 
     // Worker 0 corrupts functions 1 and 3; worker 2 corrupts function 1.
     let outcomes = manual_outcomes(&engine, &inputs, &[(0, 1), (0, 3), (2, 1)]);
     let mut collect_rng = StdRng::seed_from_u64(78);
     let batch = engine
-        .collect_batch(
+        .collect(
             &inputs,
-            &outcomes,
+            &arrivals(&outcomes),
             &NetworkModel::default(),
             1.0,
             &mut collect_rng,
@@ -222,14 +243,13 @@ fn batch_decode_amortizes_the_basis_cache() {
     let matrix = random_matrix::<P25>(&mut rng, 18, 6);
     let inputs = random_inputs::<P25>(&mut rng, functions, 6);
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let dataset = Arc::new(EncodedDataset::encode(&matrix, config, &mut rng));
+    let engine = AvccMatVec::<P25>::over(dataset, KeyGenConfig::default(), &mut rng);
     assert_eq!(engine.decode_cache_stats(), (0, 0));
 
-    let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+    let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
     let mut round_rng = StdRng::seed_from_u64(100);
-    engine
-        .execute_batch(&inputs, &executor, &ByzantineSpec::none(), &mut round_rng)
-        .unwrap();
+    run_round(&engine, &inputs, &mut executor, &mut round_rng).unwrap();
     // One survivor set, m per-function decodes: the first pays for the
     // Lagrange basis, the remaining m − 1 hit the shared cache.
     assert_eq!(engine.decode_cache_stats(), (functions as u64 - 1, 1));
@@ -245,9 +265,10 @@ fn empty_arrivals_fail_loudly() {
     let matrix = random_matrix::<P25>(&mut rng, 18, 6);
     let inputs = random_inputs::<P25>(&mut rng, 2, 6);
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let dataset = Arc::new(EncodedDataset::encode(&matrix, config, &mut rng));
+    let engine = AvccMatVec::<P25>::over(dataset, KeyGenConfig::default(), &mut rng);
     let mut collect_rng = StdRng::seed_from_u64(124);
-    let result = engine.collect_batch(
+    let result = engine.collect(
         &inputs,
         &[],
         &NetworkModel::default(),
@@ -256,7 +277,7 @@ fn empty_arrivals_fail_loudly() {
     );
     assert!(matches!(
         result,
-        Err(avcc_core::SchemeFailure::NotEnoughResults {
+        Err(SchemeFailure::NotEnoughResults {
             available: 0,
             required: 9
         })

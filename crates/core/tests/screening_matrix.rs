@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use avcc_coding::{DualCodeword, EncodedDataset, SchemeConfig, ScreenOutcome};
+use avcc_core::rounds::arrivals;
 use avcc_core::{AvccMatVec, MatVecEngine};
 use avcc_field::{Fp, PrimeModulus, P25, P61, P64};
 use avcc_linalg::{mat_vec, Matrix};
@@ -56,7 +57,7 @@ fn manual_outcomes<M: PrimeModulus>(
     stragglers: &[usize],
 ) -> Vec<WorkerOutcome<Vec<Fp<M>>>> {
     engine
-        .dispatch(input)
+        .dispatch(&[input.to_vec()])
         .iter()
         .filter(|task| !stragglers.contains(&task.worker))
         .map(|task| {
@@ -107,7 +108,7 @@ fn run_cell<M: PrimeModulus>(
     let oracle_product = mat_vec(&matrix, &input);
 
     let dataset = Arc::new(EncodedDataset::<M>::encode(&matrix, config, &mut rng));
-    let mut engine = AvccMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
+    let engine = AvccMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
     let spec = ByzantineSpec::new(planted.iter().copied(), attack);
     let outcomes = manual_outcomes(&engine, &input, &spec, &stragglers);
     let claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
@@ -158,15 +159,16 @@ fn run_cell<M: PrimeModulus>(
     let mut collect_rng = StdRng::seed_from_u64(seed ^ 0xc011ec7);
     let execution = engine
         .collect(
-            &input,
-            &outcomes,
+            std::slice::from_ref(&input),
+            &arrivals(&outcomes),
             &NetworkModel::default(),
             1.0,
             &mut collect_rng,
         )
         .unwrap();
     assert_eq!(
-        execution.output, oracle_product,
+        execution.outputs,
+        vec![oracle_product],
         "screened decode must be bit-identical to the redecode oracle"
     );
     assert_eq!(
@@ -227,7 +229,7 @@ fn all_worker_constant_attack_passes_screen_but_fails_freivalds() {
     let matrix = Matrix::from_vec(24, 6, avcc_field::random_matrix(&mut rng, 24, 6));
     let input: Vec<Fp<P25>> = avcc_field::random_vector(&mut rng, 6);
     let dataset = Arc::new(EncodedDataset::<P25>::encode(&matrix, config, &mut rng));
-    let mut engine = AvccMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
+    let engine = AvccMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
 
     let spec = ByzantineSpec::new(0..16, AttackModel::constant());
     let outcomes = manual_outcomes(&engine, &input, &spec, &[]);
@@ -240,7 +242,13 @@ fn all_worker_constant_attack_passes_screen_but_fails_freivalds() {
     let report = screen.screen(&claims, 2, &mut rng).unwrap();
     assert_eq!(report.outcome, ScreenOutcome::Clean);
 
-    let result = engine.collect(&input, &outcomes, &NetworkModel::default(), 1.0, &mut rng);
+    let result = engine.collect(
+        std::slice::from_ref(&input),
+        &arrivals(&outcomes),
+        &NetworkModel::default(),
+        1.0,
+        &mut rng,
+    );
     assert!(matches!(
         result,
         Err(avcc_core::SchemeFailure::NotEnoughResults { .. })

@@ -17,30 +17,13 @@
 use std::time::Instant;
 
 use avcc_core::distributed::{train_distributed, DistributedError, WireRunner};
-use avcc_core::engines::AvccMatVec;
 use avcc_core::rounds::SchemeFailure;
-use avcc_core::MatVecEngine;
 use avcc_field::PrimeModulus;
 use avcc_sim::attack::ByzantineSpec;
-use avcc_sim::cluster::NetworkModel;
 use avcc_sim::executor::Executor;
 use avcc_sim::metrics::JobMetrics;
-use avcc_verify::KeyGenConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::job::{CompletedJob, JobOutput, JobSpec};
-
-/// Folds an executor-level failure into the job-failure shape callers
-/// already handle (an executor that cannot run a round cannot decode one).
-fn job_failure(error: DistributedError) -> SchemeFailure {
-    match error {
-        DistributedError::Scheme(failure) => failure,
-        DistributedError::Executor(error) => SchemeFailure::DecodeFailed {
-            details: format!("executor failure: {error}"),
-        },
-    }
-}
+use crate::job::{CompletedJob, JobOutput, JobPlan, JobSpec};
 
 /// Runs every job on `executor`, in submission order, returning one
 /// [`CompletedJob`] per spec (ids are the spec's index). See the module docs
@@ -58,8 +41,8 @@ pub fn serve_distributed<M: PrimeModulus>(
     for (id, spec) in specs.into_iter().enumerate() {
         let started = Instant::now();
         let mut metrics = JobMetrics::default();
-        let output = match spec {
-            JobSpec::Training(config) => {
+        let output = match spec.plan() {
+            JobPlan::Training(config) => {
                 let mut trainer = config.build_trainer::<M>();
                 match train_distributed(&mut trainer, executor) {
                     Ok(report) => {
@@ -70,72 +53,17 @@ pub fn serve_distributed<M: PrimeModulus>(
                         }
                         JobOutput::Training(Box::new(report))
                     }
-                    Err(error) => JobOutput::Failed(job_failure(error)),
+                    Err(error) => JobOutput::Failed(error.into()),
                 }
             }
-            JobSpec::CodedMatVec {
-                matrix,
-                input,
-                coding,
-                seed,
-            } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut engine =
-                    AvccMatVec::new(&matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
+            JobPlan::MatMul(mut round) => {
                 let channel = next_channel;
                 next_channel += 1;
-                let tasks = engine.dispatch(&input);
-                let result = runner
-                    .run_round(executor, channel, &tasks, &ByzantineSpec::none())
-                    .map_err(|e| job_failure(DistributedError::Executor(e)))
-                    .and_then(|outcomes| {
-                        engine.collect(&input, &outcomes, &NetworkModel::default(), 1.0, &mut rng)
-                    });
-                match result {
-                    Ok(execution) => {
-                        metrics.rounds = 1;
-                        metrics.ops = execution.ops;
-                        metrics.screened_workers = execution.screened_workers.len() as u64;
-                        JobOutput::MatVec(execution.output)
-                    }
-                    Err(failure) => JobOutput::Failed(failure),
-                }
-            }
-            JobSpec::MatMulBatch {
-                matrix,
-                inputs,
-                coding,
-                seed,
-            } => {
-                // Same construction (and rng stream) as CodedMatVec — the m
-                // functions share one encode and one key set.
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut engine =
-                    AvccMatVec::new(&matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
-                let channel = next_channel;
-                next_channel += 1;
-                let tasks = engine.dispatch_batch(&inputs);
-                let result = runner
-                    .run_batch_round(executor, channel, &tasks, &ByzantineSpec::none())
-                    .map_err(|e| job_failure(DistributedError::Executor(e)))
-                    .and_then(|outcomes| {
-                        engine.collect_batch(
-                            &inputs,
-                            &outcomes,
-                            &NetworkModel::default(),
-                            1.0,
-                            &mut rng,
-                        )
-                    });
-                match result {
-                    Ok(execution) => {
-                        metrics.rounds = 1;
-                        metrics.ops = execution.ops;
-                        metrics.screened_workers = execution.screened_workers.len() as u64;
-                        JobOutput::MatVecBatch(execution.outputs)
-                    }
-                    Err(failure) => JobOutput::Failed(failure),
-                }
+                runner
+                    .run_batch_round(executor, channel, &round.dispatch(), &ByzantineSpec::none())
+                    .map_err(|e| SchemeFailure::from(DistributedError::Executor(e)))
+                    .and_then(|outcomes| round.collect(&outcomes, &mut metrics))
+                    .unwrap_or_else(JobOutput::Failed)
             }
         };
         metrics.active_seconds = started.elapsed().as_secs_f64();

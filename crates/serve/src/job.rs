@@ -6,11 +6,20 @@
 //! *rounds* of different jobs on the fleet; the job is the unit of admission,
 //! completion and accounting.
 
-use avcc_coding::SchemeConfig;
-use avcc_core::{ExperimentConfig, SchemeFailure, TrainingReport};
+use std::sync::Arc;
+
+use avcc_coding::{EncodedDataset, SchemeConfig};
+use avcc_core::engines::AvccMatVec;
+use avcc_core::rounds::{arrivals, FunctionOutputs, RoundTask};
+use avcc_core::{ExperimentConfig, MatVecEngine, SchemeFailure, TrainingReport};
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::Matrix;
+use avcc_sim::cluster::NetworkModel;
+use avcc_sim::executor::WorkerOutcome;
 use avcc_sim::metrics::JobMetrics;
+use avcc_verify::KeyGenConfig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Identifier assigned at submission, unique within one [`crate::Scheduler`].
 pub type JobId = usize;
@@ -68,6 +77,101 @@ impl<M: PrimeModulus> JobSpec<M> {
                 .expect("the paper's default coding configuration is feasible"),
             seed: 0,
         }
+    }
+}
+
+/// How an admitted job runs on the fleet.
+pub(crate) enum JobPlan<M: PrimeModulus> {
+    /// A training run: every iteration's two rounds.
+    Training(ExperimentConfig),
+    /// A coded matmul job's one round.
+    MatMul(MatMulRound<M>),
+}
+
+impl<M: PrimeModulus> JobSpec<M> {
+    /// Plans the job. A coded matmul job is opened for its one round,
+    /// consuming the matrix: the dataset is encoded and then the keys
+    /// generated, both from the job's seed. A [`JobSpec::CodedMatVec`] is the
+    /// `m = 1` round.
+    pub(crate) fn plan(self) -> JobPlan<M> {
+        let (matrix, inputs, coding, seed, single) = match self {
+            JobSpec::Training(config) => return JobPlan::Training(config),
+            JobSpec::CodedMatVec {
+                matrix,
+                input,
+                coding,
+                seed,
+            } => (matrix, vec![input], coding, seed, true),
+            JobSpec::MatMulBatch {
+                matrix,
+                inputs,
+                coding,
+                seed,
+            } => (matrix, inputs, coding, seed, false),
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dataset = Arc::new(EncodedDataset::encode(&matrix, coding, &mut rng));
+        let engine = AvccMatVec::over(dataset, KeyGenConfig { repetitions: 1 }, &mut rng);
+        JobPlan::MatMul(MatMulRound {
+            engine,
+            inputs,
+            rng,
+            single,
+        })
+    }
+}
+
+/// A coded matmul job as it runs: one AVCC round of `m ≥ 1` functions over
+/// one encoded dataset, on nominal workers with the default network model
+/// (stragglers and attacks are the training scenarios' concern).
+pub(crate) struct MatMulRound<M: PrimeModulus> {
+    engine: AvccMatVec<M>,
+    inputs: Vec<Vec<Fp<M>>>,
+    rng: StdRng,
+    /// A [`JobSpec::CodedMatVec`] job, reported as [`JobOutput::MatVec`].
+    single: bool,
+}
+
+impl<M: PrimeModulus> MatMulRound<M> {
+    /// The round's worker tasks.
+    pub(crate) fn dispatch(&self) -> Vec<RoundTask<M>> {
+        self.engine.dispatch(&self.inputs)
+    }
+
+    /// Arrivals the collect needs before it can succeed.
+    pub(crate) fn min_results(&self) -> usize {
+        self.engine.min_results()
+    }
+
+    /// `(hits, misses)` of the job's decoder basis cache.
+    pub(crate) fn decode_cache_stats(&self) -> (u64, u64) {
+        self.engine.decode_cache_stats()
+    }
+
+    /// Verifies and decodes the round from arrival-ordered `outcomes`,
+    /// charging it to `metrics`. On `Err` nothing was consumed, so the call
+    /// may be retried with more arrivals.
+    pub(crate) fn collect<P: FunctionOutputs<M>>(
+        &mut self,
+        outcomes: &[WorkerOutcome<P>],
+        metrics: &mut JobMetrics,
+    ) -> Result<JobOutput<M>, SchemeFailure> {
+        let execution = self.engine.collect(
+            &self.inputs,
+            &arrivals(outcomes),
+            &NetworkModel::default(),
+            1.0,
+            &mut self.rng,
+        )?;
+        metrics.rounds += 1;
+        metrics.ops = metrics.ops.combined(&execution.ops);
+        metrics.screened_workers += execution.screened_workers.len() as u64;
+        let mut outputs = execution.outputs;
+        Ok(if self.single {
+            JobOutput::MatVec(outputs.pop().expect("one function"))
+        } else {
+            JobOutput::MatVecBatch(outputs)
+        })
     }
 }
 

@@ -33,24 +33,17 @@ use std::fmt;
 use std::sync::mpsc::{self, Sender};
 use std::time::{Duration, Instant};
 
-use avcc_core::engines::AvccMatVec;
 use avcc_core::rounds::field_vector_bytes;
-use avcc_core::{
-    BatchRoundTask, DistributedTrainer, MatVecEngine, RoundTask, SchemeFailure, TrainingReport,
-    TrainingRound,
-};
+use avcc_core::{DistributedTrainer, RoundTask, SchemeFailure, TrainingReport, TrainingRound};
 use avcc_field::{Fp, PrimeModulus};
 use avcc_pool::Scope;
 use avcc_sim::churn::{ChurnEventKind, ChurnSchedule, ChurnState};
 use avcc_sim::cluster::{ClusterProfile, NetworkModel};
 use avcc_sim::executor::{slowdown_sleep_seconds, WorkerOutcome};
 use avcc_sim::metrics::{JobMetrics, ServingMetrics};
-use avcc_verify::KeyGenConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::fleet::Fleet;
-use crate::job::{CompletedJob, JobId, JobOutput, JobSpec};
+use crate::job::{CompletedJob, JobId, JobOutput, JobPlan, JobSpec, MatMulRound};
 
 /// Admission and pacing knobs of one scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,12 +126,13 @@ struct PendingJob<M: PrimeModulus> {
     submitted_at: Instant,
 }
 
-/// One worker result in flight from the fleet back to the master.
+/// One worker result in flight from the fleet back to the master: one
+/// output vector per function of the round.
 struct TaskMessage<M: PrimeModulus> {
     slot: usize,
     serial: u64,
     worker: usize,
-    payload: Vec<Fp<M>>,
+    payload: Vec<Vec<Fp<M>>>,
     compute_seconds: f64,
 }
 
@@ -151,53 +145,8 @@ enum JobEngine<M: PrimeModulus> {
         cumulative: f64,
         round: TrainingRound,
     },
-    MatVec {
-        engine: Box<AvccMatVec<M>>,
-        input: Vec<Fp<M>>,
-        network: NetworkModel,
-        rng: StdRng,
-    },
-    MatVecBatch {
-        engine: Box<AvccMatVec<M>>,
-        inputs: Vec<Vec<Fp<M>>>,
-        network: NetworkModel,
-        rng: StdRng,
-    },
-}
-
-/// One worker task on the fleet: a single-function share product or a batch
-/// of `m` of them over the same share.
-#[derive(Clone)]
-enum FleetTask<M: PrimeModulus> {
-    Single(RoundTask<M>),
-    Batch(BatchRoundTask<M>),
-}
-
-impl<M: PrimeModulus> FleetTask<M> {
-    fn worker(&self) -> usize {
-        match self {
-            FleetTask::Single(task) => task.worker,
-            FleetTask::Batch(task) => task.worker,
-        }
-    }
-
-    /// Runs the task. A batch flattens its per-function outputs into one
-    /// function-major wire payload; [`split_functions`] reverses this at
-    /// collect time.
-    fn run(&self) -> Vec<Fp<M>> {
-        match self {
-            FleetTask::Single(task) => task.run(),
-            FleetTask::Batch(task) => task.run().into_iter().flatten().collect(),
-        }
-    }
-}
-
-/// Splits a flattened batch payload back into its `functions` per-function
-/// parts (the inverse of [`FleetTask::run`]'s flattening).
-fn split_functions<M: PrimeModulus>(payload: &[Fp<M>], functions: usize) -> Vec<Vec<Fp<M>>> {
-    debug_assert_eq!(payload.len() % functions, 0);
-    let part = payload.len() / functions;
-    payload.chunks(part).map(<[Fp<M>]>::to_vec).collect()
+    /// A coded matmul job: one round of `m ≥ 1` functions.
+    MatMul(Box<MatMulRound<M>>),
 }
 
 /// A job occupying an in-flight slot, with its current round's bookkeeping.
@@ -214,7 +163,7 @@ struct ActiveJob<M: PrimeModulus> {
     /// collect failure).
     needed: usize,
     /// Arrival-ordered results of the current round.
-    outcomes: Vec<WorkerOutcome<Vec<Fp<M>>>>,
+    outcomes: Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>>,
     round_started_at: Instant,
     admitted_at: Instant,
     metrics: JobMetrics,
@@ -223,7 +172,7 @@ struct ActiveJob<M: PrimeModulus> {
     cache_baseline: (u64, u64),
     /// A copy of the current round's tasks (cheap: both halves sit behind
     /// `Arc`s), kept so a parked round can be re-dispatched verbatim.
-    tasks: Vec<FleetTask<M>>,
+    tasks: Vec<RoundTask<M>>,
     /// Consecutive re-dispatches of the current parked round.
     stalls: usize,
 }
@@ -232,14 +181,18 @@ impl<M: PrimeModulus> ActiveJob<M> {
     fn network(&self) -> NetworkModel {
         match &self.engine {
             JobEngine::Training { trainer, .. } => trainer.cluster().network,
-            JobEngine::MatVec { network, .. } | JobEngine::MatVecBatch { network, .. } => *network,
+            JobEngine::MatMul(_) => NetworkModel::default(),
         }
     }
 
-    fn corrupt(&self, worker: usize, payload: &mut [Fp<M>]) -> bool {
+    /// Applies the job's Byzantine corruption to every function of an
+    /// arrived payload.
+    fn corrupt(&self, worker: usize, payload: &mut [Vec<Fp<M>>]) -> bool {
         match &self.engine {
-            JobEngine::Training { trainer, .. } => trainer.byzantine().corrupt(worker, payload),
-            JobEngine::MatVec { .. } | JobEngine::MatVecBatch { .. } => false,
+            JobEngine::Training { trainer, .. } => payload.iter_mut().fold(false, |any, part| {
+                trainer.byzantine().corrupt(worker, part) | any
+            }),
+            JobEngine::MatMul(_) => false,
         }
     }
 
@@ -247,9 +200,7 @@ impl<M: PrimeModulus> ActiveJob<M> {
     fn decode_cache_stats(&self) -> (u64, u64) {
         match &self.engine {
             JobEngine::Training { trainer, .. } => trainer.decode_cache_stats(),
-            JobEngine::MatVec { engine, .. } | JobEngine::MatVecBatch { engine, .. } => {
-                engine.decode_cache_stats()
-            }
+            JobEngine::MatMul(round) => round.decode_cache_stats(),
         }
     }
 
@@ -257,7 +208,7 @@ impl<M: PrimeModulus> ActiveJob<M> {
     fn slowdowns(&self) -> Vec<f64> {
         match &self.engine {
             JobEngine::Training { trainer, .. } => effective_slowdowns(trainer.cluster()),
-            JobEngine::MatVec { .. } | JobEngine::MatVecBatch { .. } => vec![1.0; self.tasks.len()],
+            JobEngine::MatMul(_) => vec![1.0; self.tasks.len()],
         }
     }
 }
@@ -265,7 +216,7 @@ impl<M: PrimeModulus> ActiveJob<M> {
 /// What one master step did to a collectable job.
 enum Step<M: PrimeModulus> {
     /// The round was collected and the next round's tasks are ready.
-    Continue(Vec<FleetTask<M>>, Vec<f64>),
+    Continue(Vec<RoundTask<M>>, Vec<f64>),
     /// The collect failed on a short prefix; wait for one more arrival.
     Wait,
     /// The round came back below the recovery threshold with every
@@ -515,14 +466,14 @@ impl<M: PrimeModulus> Scheduler<M> {
 fn start_job<M: PrimeModulus>(
     pending: PendingJob<M>,
     serial: u64,
-) -> Result<(ActiveJob<M>, Vec<FleetTask<M>>, Vec<f64>), CompletedJob<M>> {
+) -> Result<(ActiveJob<M>, Vec<RoundTask<M>>, Vec<f64>), CompletedJob<M>> {
     let queue_wait_seconds = pending.submitted_at.elapsed().as_secs_f64();
     let metrics = JobMetrics {
         queue_wait_seconds,
         ..JobMetrics::default()
     };
-    let (engine, tasks, needed, slowdowns) = match pending.spec {
-        JobSpec::Training(config) => {
+    let (engine, tasks, needed, slowdowns) = match pending.spec.plan() {
+        JobPlan::Training(config) => {
             let mut trainer = Box::new(config.build_trainer::<M>());
             if trainer.iterations() == 0 {
                 let report =
@@ -537,11 +488,7 @@ fn start_job<M: PrimeModulus>(
                 trainer.scheme().label(),
                 trainer.scenario_label(),
             ));
-            let tasks = trainer
-                .encode_round1()
-                .into_iter()
-                .map(FleetTask::Single)
-                .collect();
+            let tasks = trainer.encode_round1();
             let needed = trainer.round_min_results(TrainingRound::Round1);
             let slowdowns = effective_slowdowns(trainer.cluster());
             (
@@ -557,73 +504,11 @@ fn start_job<M: PrimeModulus>(
                 slowdowns,
             )
         }
-        JobSpec::CodedMatVec {
-            matrix,
-            input,
-            coding,
-            seed,
-        } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let engine = Box::new(AvccMatVec::new(
-                &matrix,
-                coding,
-                KeyGenConfig { repetitions: 1 },
-                &mut rng,
-            ));
-            let tasks = engine
-                .dispatch(&input)
-                .into_iter()
-                .map(FleetTask::Single)
-                .collect::<Vec<_>>();
-            let needed = engine.min_results();
-            // One-shot products run on nominal workers; stragglers and
-            // attacks are the training scenarios' concern.
+        JobPlan::MatMul(round) => {
+            let tasks = round.dispatch();
+            let needed = round.min_results();
             let slowdowns = vec![1.0; tasks.len()];
-            (
-                JobEngine::MatVec {
-                    engine,
-                    input,
-                    network: NetworkModel::default(),
-                    rng,
-                },
-                tasks,
-                needed,
-                slowdowns,
-            )
-        }
-        JobSpec::MatMulBatch {
-            matrix,
-            inputs,
-            coding,
-            seed,
-        } => {
-            // Same construction (and rng stream) as CodedMatVec: one encode,
-            // one key set — the whole point is that the m functions share it.
-            let mut rng = StdRng::seed_from_u64(seed);
-            let engine = Box::new(AvccMatVec::new(
-                &matrix,
-                coding,
-                KeyGenConfig { repetitions: 1 },
-                &mut rng,
-            ));
-            let tasks = engine
-                .dispatch_batch(&inputs)
-                .into_iter()
-                .map(FleetTask::Batch)
-                .collect::<Vec<_>>();
-            let needed = engine.min_results();
-            let slowdowns = vec![1.0; tasks.len()];
-            (
-                JobEngine::MatVecBatch {
-                    engine,
-                    inputs,
-                    network: NetworkModel::default(),
-                    rng,
-                },
-                tasks,
-                needed,
-                slowdowns,
-            )
+            (JobEngine::MatMul(Box::new(round)), tasks, needed, slowdowns)
         }
     };
     let now = Instant::now();
@@ -657,13 +542,13 @@ fn dispatch_round<'scope, M: PrimeModulus>(
     slot: usize,
     serial: u64,
     sleep_per_unit: f64,
-    tasks: Vec<FleetTask<M>>,
+    tasks: Vec<RoundTask<M>>,
     slowdowns: &[f64],
     churn: Option<&ChurnState>,
 ) -> usize {
     let mut count = 0;
     for task in tasks {
-        let worker = task.worker();
+        let worker = task.worker;
         if let Some(churn) = churn {
             if churn.is_down(worker) || churn.is_corrupting(worker) {
                 continue;
@@ -676,7 +561,7 @@ fn dispatch_round<'scope, M: PrimeModulus>(
         let sleep = slowdown_sleep_seconds(slowdown, sleep_per_unit);
         scope.spawn(move || {
             let started = Instant::now();
-            let payload = task.run();
+            let payload = task.run_all();
             if sleep > 0.0 {
                 std::thread::sleep(Duration::from_secs_f64(sleep));
             }
@@ -716,7 +601,7 @@ fn deliver<M: PrimeModulus>(
     let corrupted = job.corrupt(message.worker, &mut payload);
     let network_seconds = job
         .network()
-        .transfer_seconds(field_vector_bytes(payload.len()));
+        .transfer_seconds(field_vector_bytes(payload.iter().map(Vec::len).sum()));
     let arrival_seconds = job.round_started_at.elapsed().as_secs_f64() + network_seconds;
     job.outcomes.push(WorkerOutcome {
         worker: message.worker,
@@ -757,10 +642,7 @@ fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
                     *round = TrainingRound::Round2;
                     job.needed = trainer.round_min_results(TrainingRound::Round2);
                     let slowdowns = effective_slowdowns(trainer.cluster());
-                    Step::Continue(
-                        tasks.into_iter().map(FleetTask::Single).collect(),
-                        slowdowns,
-                    )
+                    Step::Continue(tasks, slowdowns)
                 }
                 Err(failure) => {
                     if job.outcomes.len() < job.dispatched {
@@ -808,10 +690,7 @@ fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
                             *round = TrainingRound::Round1;
                             job.needed = trainer.round_min_results(TrainingRound::Round1);
                             let slowdowns = effective_slowdowns(trainer.cluster());
-                            Step::Continue(
-                                tasks.into_iter().map(FleetTask::Single).collect(),
-                                slowdowns,
-                            )
+                            Step::Continue(tasks, slowdowns)
                         }
                     }
                     Err(failure) => {
@@ -832,18 +711,8 @@ fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
                 }
             }
         },
-        JobEngine::MatVec {
-            engine,
-            input,
-            network,
-            rng,
-        } => match engine.collect(input, &job.outcomes, network, 1.0, rng) {
-            Ok(execution) => {
-                job.metrics.rounds += 1;
-                job.metrics.ops = job.metrics.ops.combined(&execution.ops);
-                job.metrics.screened_workers += execution.screened_workers.len() as u64;
-                Step::Done(JobOutput::MatVec(execution.output))
-            }
+        JobEngine::MatMul(round) => match round.collect(&job.outcomes, &mut job.metrics) {
+            Ok(output) => Step::Done(output),
             Err(failure) => {
                 if job.outcomes.len() < job.dispatched {
                     job.needed = job.outcomes.len() + 1;
@@ -853,44 +722,6 @@ fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
                 }
             }
         },
-        JobEngine::MatVecBatch {
-            engine,
-            inputs,
-            network,
-            rng,
-        } => {
-            // Un-flatten each wire payload back into its m per-function
-            // parts before handing the arrivals to the batched collect.
-            let functions = inputs.len();
-            let outcomes: Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>> = job
-                .outcomes
-                .iter()
-                .map(|outcome| WorkerOutcome {
-                    worker: outcome.worker,
-                    payload: split_functions(&outcome.payload, functions),
-                    compute_seconds: outcome.compute_seconds,
-                    network_seconds: outcome.network_seconds,
-                    arrival_seconds: outcome.arrival_seconds,
-                    corrupted: outcome.corrupted,
-                })
-                .collect();
-            match engine.collect_batch(inputs, &outcomes, network, 1.0, rng) {
-                Ok(execution) => {
-                    job.metrics.rounds += 1;
-                    job.metrics.ops = job.metrics.ops.combined(&execution.ops);
-                    job.metrics.screened_workers += execution.screened_workers.len() as u64;
-                    Step::Done(JobOutput::MatVecBatch(execution.outputs))
-                }
-                Err(failure) => {
-                    if job.outcomes.len() < job.dispatched {
-                        job.needed = job.outcomes.len() + 1;
-                        Step::Wait
-                    } else {
-                        Step::Done(JobOutput::Failed(failure))
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -931,10 +762,7 @@ fn park_or_shrink<M: PrimeModulus>(
         let tasks = trainer.encode_round1();
         *needed = trainer.round_min_results(TrainingRound::Round1);
         let slowdowns = effective_slowdowns(trainer.cluster());
-        Step::Continue(
-            tasks.into_iter().map(FleetTask::Single).collect(),
-            slowdowns,
-        )
+        Step::Continue(tasks, slowdowns)
     } else {
         Step::Done(JobOutput::Failed(SchemeFailure::NotEnoughResults {
             available,
@@ -962,7 +790,8 @@ mod tests {
     use avcc_linalg::{mat_vec, Matrix};
     use avcc_ml::dataset::DatasetConfig;
     use avcc_sim::attack::AttackModel;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     type F = avcc_field::F25;
 

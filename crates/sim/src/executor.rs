@@ -1,32 +1,40 @@
 //! Execution engines that place worker results on a timeline.
 //!
-//! Two engines share the same outcome type:
+//! Every engine implements the modulus-erased [`Executor`] trait — install
+//! each worker's block once per job, then run rounds of per-worker input
+//! vectors — and the master drives all of them the same way (in
+//! `avcc-core`, through its `WireRunner`). Two in-process engines live here;
+//! the socket runtime (`crate::socket`) is the third:
 //!
-//! * [`VirtualExecutor`] — the engine every experiment uses. Each worker task
-//!   is executed for real (so the payload is a genuine finite-field result and
-//!   its cost is measured with a monotonic clock), then the measured compute
-//!   time is multiplied by the worker's slowdown factor and a network transfer
-//!   time is added, producing a deterministic-enough virtual arrival time.
-//!   Nothing sleeps; a 50-iteration training run over a 12-worker cluster
-//!   completes in seconds of real time while still exhibiting the arrival
-//!   orderings the paper's results depend on.
-//! * [`ThreadedExecutor`] — every worker task runs as a task on the shared
-//!   [`avcc_pool`] work-stealing pool and reports back over an mpsc channel;
-//!   stragglers really do finish later. Used by the examples to demonstrate
-//!   that the same master logic drives a live cluster. Because worker tasks
-//!   are pool tasks (not one dedicated OS thread per worker, as in earlier
-//!   revisions), a worker task may itself call the pool-backed parallel
-//!   kernels in `avcc_linalg` — the nested fan-out shares the one fixed set
-//!   of pool threads instead of multiplying OS threads, and a worker waiting
-//!   on its inner kernel chunks executes those same chunks meanwhile (the
-//!   pool's *scope-local* helping rule, which is also what keeps a waiter
-//!   from nesting another worker's task — and sleep — inside its own
-//!   measured compute span), so the nesting cannot deadlock.
+//! * [`VirtualExecutor`] — the engine every experiment uses. Each worker's
+//!   block product is executed for real (so the payload is a genuine
+//!   finite-field result and its cost is measured with a monotonic clock),
+//!   then the measured compute time is multiplied by the worker's slowdown
+//!   factor and the result frame's network transfer time is added,
+//!   producing a deterministic-enough virtual arrival time. Nothing sleeps;
+//!   a 50-iteration training run over a 12-worker cluster completes in
+//!   seconds of real time while still exhibiting the arrival orderings the
+//!   paper's results depend on.
+//! * [`ThreadedExecutor`] — every worker's product runs as a task on the
+//!   shared [`avcc_pool`] work-stealing pool and reports back over an mpsc
+//!   channel; stragglers really do finish later. Because worker tasks are
+//!   pool tasks (not one dedicated OS thread per worker), a round may itself
+//!   be started from inside pool work — the nested fan-out shares the one
+//!   fixed set of pool threads instead of multiplying OS threads, and a
+//!   waiter executes its own scope's pending tasks meanwhile (the pool's
+//!   *scope-local* helping rule, which also keeps a waiter from nesting
+//!   another worker's task — and sleep — inside its own measured compute
+//!   span), so the nesting cannot deadlock.
 //!
 //! [`VirtualExecutor`] stays deliberately serial: it derives each worker's
-//! virtual cost from a wall-clock measurement of that worker's task, and
-//! running tasks concurrently would let them contend and corrupt each
+//! virtual cost from a wall-clock measurement of that worker's product, and
+//! running products concurrently would let them contend and corrupt each
 //! other's measurements.
+//!
+//! Byzantine corruption is never applied here: the master applies it on
+//! arrival, so fault injection is identical across executors. The only
+//! payload an executor alters is a churn schedule's corrupt window, which
+//! makes the result non-canonical so the wire lift drops it.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
@@ -283,62 +291,6 @@ impl VirtualExecutor {
     pub fn set_profile(&mut self, profile: ClusterProfile) {
         self.profile = profile;
     }
-
-    /// Runs one round: executes `tasks[i]` as worker `i`, applies `corrupt`
-    /// to each payload (returning whether it modified it), charges compute and
-    /// network time and returns the outcomes sorted by arrival time.
-    ///
-    /// # Panics
-    /// Panics if the number of tasks differs from the number of workers in the
-    /// profile.
-    pub fn run_round<T, Task, Corrupt>(
-        &self,
-        tasks: Vec<Task>,
-        payload_bytes: impl Fn(&T) -> usize,
-        mut corrupt: Corrupt,
-    ) -> Vec<WorkerOutcome<T>>
-    where
-        Task: FnOnce() -> T,
-        Corrupt: FnMut(usize, &mut T) -> bool,
-    {
-        assert_eq!(
-            tasks.len(),
-            self.profile.len(),
-            "expected one task per worker ({}), got {}",
-            self.profile.len(),
-            tasks.len()
-        );
-        let mut outcomes: Vec<WorkerOutcome<T>> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(worker, task)| {
-                let started = Instant::now();
-                let mut payload = task();
-                let measured = started.elapsed().as_secs_f64();
-                let corrupted = corrupt(worker, &mut payload);
-                let compute_seconds =
-                    measured * self.time_scale * self.profile.worker(worker).effective_slowdown();
-                let network_seconds = self
-                    .profile
-                    .network
-                    .transfer_seconds(payload_bytes(&payload));
-                WorkerOutcome {
-                    worker,
-                    arrival_seconds: compute_seconds + network_seconds,
-                    compute_seconds,
-                    network_seconds,
-                    payload,
-                    corrupted,
-                }
-            })
-            .collect();
-        outcomes.sort_by(|a, b| {
-            a.arrival_seconds
-                .partial_cmp(&b.arrival_seconds)
-                .expect("arrival times are finite")
-        });
-        outcomes
-    }
 }
 
 /// Real seconds of sleep charged to a worker with the given effective
@@ -403,78 +355,6 @@ impl ThreadedExecutor {
     /// The churn state, if a schedule is installed.
     pub fn churn(&self) -> Option<&ChurnState> {
         self.churn.as_ref()
-    }
-
-    /// Runs one round as pool tasks. Results are returned in arrival order
-    /// (the order in which the master's channel received them).
-    pub fn run_round<T, Task, Corrupt>(
-        &self,
-        tasks: Vec<Task>,
-        payload_bytes: impl Fn(&T) -> usize,
-        mut corrupt: Corrupt,
-    ) -> Vec<WorkerOutcome<T>>
-    where
-        T: Send,
-        Task: FnOnce() -> T + Send,
-        Corrupt: FnMut(usize, &mut T) -> bool,
-    {
-        assert_eq!(
-            tasks.len(),
-            self.profile.len(),
-            "expected one task per worker ({}), got {}",
-            self.profile.len(),
-            tasks.len()
-        );
-        let (sender, receiver) = mpsc::channel();
-        let round_start = Instant::now();
-        // The scope returns once every worker task has sent its result, so
-        // draining the channel afterwards never blocks. (Collecting *inside*
-        // the scope body would deadlock on small pools: the body runs before
-        // the scope starts executing queued tasks.)
-        avcc_pool::scope(|scope| {
-            for (worker, task) in tasks.into_iter().enumerate() {
-                let sender = sender.clone();
-                let slowdown = self.profile.worker(worker).effective_slowdown();
-                let extra_sleep = slowdown_sleep_seconds(slowdown, self.sleep_per_slowdown_unit);
-                scope.spawn(move || {
-                    // Compute time is the task's own execution span; on a
-                    // pool smaller than the worker count the task may also
-                    // have *queued* behind other workers, and that wait
-                    // belongs to arrival, not compute.
-                    let task_start = Instant::now();
-                    let payload = task();
-                    if extra_sleep > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(extra_sleep));
-                    }
-                    let compute = task_start.elapsed().as_secs_f64();
-                    let sent_at = round_start.elapsed().as_secs_f64();
-                    // A closed receiver just means the master stopped early.
-                    let _ = sender.send((worker, payload, compute, sent_at));
-                });
-            }
-        });
-        drop(sender);
-        let mut arrived: Vec<(usize, T, f64, f64)> = receiver.iter().collect();
-        // The channel already yields messages in arrival order; keep it.
-        let outcomes = arrived
-            .drain(..)
-            .map(|(worker, mut payload, compute_seconds, sent_at)| {
-                let corrupted = corrupt(worker, &mut payload);
-                let network_seconds = self
-                    .profile
-                    .network
-                    .transfer_seconds(payload_bytes(&payload));
-                WorkerOutcome {
-                    worker,
-                    compute_seconds,
-                    network_seconds,
-                    arrival_seconds: sent_at + network_seconds,
-                    payload,
-                    corrupted,
-                }
-            })
-            .collect();
-        outcomes
     }
 }
 
@@ -684,30 +564,47 @@ impl Executor for ThreadedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{AttackModel, ByzantineSpec};
-    use avcc_field::{PrimeField, F25};
+    use avcc_field::{PrimeModulus, P25};
 
-    /// A worker task that does a deterministic amount of field arithmetic so
-    /// measured compute times are non-trivial and comparable across workers.
-    fn busy_task(worker: usize, work: usize) -> impl FnOnce() -> Vec<F25> {
-        move || {
-            let mut accumulator = F25::from_u64(worker as u64 + 1);
-            for i in 0..work {
-                accumulator = accumulator * F25::from_u64((i % 1000) as u64 + 1) + F25::ONE;
-            }
-            vec![accumulator; 8]
+    /// A `rows × cols` block over the 25-bit field with deterministic
+    /// canonical elements, so measured compute times are non-trivial and
+    /// comparable across workers.
+    fn block(rows: u32, cols: u32) -> Block {
+        Block {
+            modulus: P25::MODULUS,
+            rows,
+            cols,
+            elements: (0..u64::from(rows * cols))
+                .map(|i| (i * 7919 + 13) % P25::MODULUS)
+                .collect(),
         }
     }
 
-    fn byte_len(v: &[F25]) -> usize {
-        v.len() * 8
+    /// One single-function input per worker for `cols`-column blocks.
+    fn inputs(workers: usize, cols: u32) -> Vec<Vec<Vec<u64>>> {
+        vec![vec![(1..=u64::from(cols)).collect()]; workers]
+    }
+
+    /// Installs `workers` copies of a `rows × cols` block as job 0 and runs
+    /// one round.
+    fn run(
+        executor: &mut dyn Executor,
+        workers: usize,
+        rows: u32,
+        cols: u32,
+    ) -> Vec<WorkerOutcome<Vec<Vec<u64>>>> {
+        executor
+            .install_blocks(0, &vec![block(rows, cols); workers])
+            .unwrap();
+        executor
+            .execute_round(0, 0, &inputs(workers, cols))
+            .unwrap()
     }
 
     #[test]
     fn virtual_round_returns_one_outcome_per_worker() {
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(4)).with_time_scale(1.0);
-        let tasks: Vec<_> = (0..4).map(|w| busy_task(w, 2_000)).collect();
-        let outcomes = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(4)).with_time_scale(1.0);
+        let outcomes = run(&mut executor, 4, 32, 32);
         assert_eq!(outcomes.len(), 4);
         let mut workers: Vec<usize> = outcomes.iter().map(|o| o.worker).collect();
         workers.sort_unstable();
@@ -720,15 +617,17 @@ mod tests {
                     < 1e-12
             );
             assert!(!outcome.corrupted);
+            assert_eq!(outcome.payload.len(), 1);
+            assert_eq!(outcome.payload[0].len(), 32);
         }
     }
 
     #[test]
     fn outcomes_are_sorted_by_arrival() {
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 50.0))
-            .with_time_scale(1.0);
-        let tasks: Vec<_> = (0..6).map(|w| busy_task(w, 20_000)).collect();
-        let outcomes = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
+        let mut executor =
+            VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 50.0))
+                .with_time_scale(1.0);
+        let outcomes = run(&mut executor, 6, 128, 160);
         for pair in outcomes.windows(2) {
             assert!(pair[0].arrival_seconds <= pair[1].arrival_seconds);
         }
@@ -739,49 +638,69 @@ mod tests {
     #[test]
     fn stragglers_arrive_after_nominal_workers() {
         let profile = ClusterProfile::uniform(5).with_stragglers(&[2, 4], 100.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
-        let tasks: Vec<_> = (0..5).map(|w| busy_task(w, 50_000)).collect();
-        let outcomes = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let outcomes = run(&mut executor, 5, 200, 250);
         let last_two: Vec<usize> = outcomes[3..].iter().map(|o| o.worker).collect();
         assert!(last_two.contains(&2) && last_two.contains(&4));
     }
 
     #[test]
-    fn corruption_callback_marks_payloads() {
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(3)).with_time_scale(1.0);
-        let spec = ByzantineSpec::new([1], AttackModel::constant());
-        let tasks: Vec<_> = (0..3).map(|w| busy_task(w, 1_000)).collect();
-        let outcomes = executor.run_round(
-            tasks,
-            |v| byte_len(v),
-            |worker, payload: &mut Vec<F25>| spec.corrupt(worker, payload),
-        );
+    fn virtual_corrupt_window_clobbers_payloads() {
+        use crate::churn::{ChurnAction, ChurnSchedule};
+        // The executor never applies Byzantine corruption (the master does,
+        // on arrival); the only payload it alters is a churn corrupt window,
+        // which it makes non-canonical so the wire lift drops the worker.
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(3)).with_time_scale(1.0);
+        executor.set_churn(ChurnSchedule::quiet().at(
+            0,
+            ChurnAction::Corrupt {
+                worker: 1,
+                rounds: 1,
+            },
+        ));
+        let outcomes = run(&mut executor, 3, 4, 4);
+        assert_eq!(outcomes.len(), 3);
         for outcome in &outcomes {
+            assert!(!outcome.corrupted, "the executor never marks corruption");
             if outcome.worker == 1 {
-                assert!(outcome.corrupted);
-                assert!(outcome.payload.iter().all(|&v| v == F25::from_u64(3)));
+                assert_eq!(outcome.payload[0][0], u64::MAX);
             } else {
-                assert!(!outcome.corrupted);
+                assert!(outcome.payload[0].iter().all(|&v| v < P25::MODULUS));
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "one task per worker")]
-    fn task_count_mismatch_panics() {
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(3));
-        let tasks: Vec<_> = (0..2).map(|w| busy_task(w, 10)).collect();
-        let _ = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
+    fn task_count_mismatch_is_a_typed_error() {
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(3));
+        assert_eq!(
+            executor.install_blocks(0, &vec![block(2, 2); 4]),
+            Err(ExecutorError::TooManyTasks {
+                tasks: 4,
+                workers: 3
+            })
+        );
+        executor.install_blocks(0, &vec![block(2, 2); 2]).unwrap();
+        assert_eq!(
+            executor.execute_round(0, 0, &inputs(3, 2)),
+            Err(ExecutorError::TooManyTasks {
+                tasks: 3,
+                workers: 2
+            })
+        );
+        assert_eq!(
+            executor.execute_round(9, 0, &inputs(2, 2)),
+            Err(ExecutorError::UnknownJob { job: 9 })
+        );
     }
 
     #[test]
     fn time_scale_scales_compute_linearly() {
         let profile = ClusterProfile::uniform(1);
-        let tasks = || vec![busy_task(0, 30_000)];
-        let slow = VirtualExecutor::new(profile.clone()).with_time_scale(100.0);
-        let fast = VirtualExecutor::new(profile).with_time_scale(1.0);
-        let slow_outcome = &slow.run_round(tasks(), |v| byte_len(v), |_, _| false)[0];
-        let fast_outcome = &fast.run_round(tasks(), |v| byte_len(v), |_, _| false)[0];
+        let mut slow = VirtualExecutor::new(profile.clone()).with_time_scale(100.0);
+        let mut fast = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let slow_outcome = &run(&mut slow, 1, 150, 200)[0];
+        let fast_outcome = &run(&mut fast, 1, 150, 200)[0];
         // Measured times vary between runs, but a 100x scale must dominate
         // measurement noise by a wide margin.
         assert!(slow_outcome.compute_seconds > fast_outcome.compute_seconds * 5.0);
@@ -789,37 +708,45 @@ mod tests {
 
     #[test]
     fn threaded_executor_nests_pool_backed_kernels_without_deadlock() {
-        // The composition the pool exists for: the executor fans 8 worker
-        // tasks onto the pool, and every worker task itself fans a blocked
-        // kernel onto the same pool. With per-worker OS threads this was 8 +
-        // 8*4 threads; with the pool it must complete on ANY pool size
-        // because threads waiting on inner scopes execute pending tasks.
+        // The composition the pool exists for: pool tasks that each start a
+        // threaded round (whose worker tasks are pool tasks too) next to a
+        // pool-backed kernel. With per-worker OS threads this multiplied
+        // threads; with the pool it must complete on ANY pool size because
+        // threads waiting on inner scopes execute pending tasks.
+        use avcc_field::Fp;
         use avcc_linalg::{mat_vec, mat_vec_parallel, Matrix};
-        use rand::SeedableRng;
-        let workers = 8;
-        let (rows, cols) = (128usize, 160usize);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let matrix = std::sync::Arc::new(Matrix::from_vec(
-            rows,
-            cols,
-            avcc_field::random_matrix(&mut rng, rows, cols),
-        ));
-        let x: std::sync::Arc<Vec<F25>> =
-            std::sync::Arc::new(avcc_field::random_vector(&mut rng, cols));
-        let expected = mat_vec(&matrix, &x);
-        let executor = ThreadedExecutor::new(ClusterProfile::uniform(workers));
-        let tasks: Vec<_> = (0..workers)
-            .map(|_| {
-                let matrix = std::sync::Arc::clone(&matrix);
-                let x = std::sync::Arc::clone(&x);
-                move || mat_vec_parallel(&matrix, &x, 4)
-            })
+        let (workers, rows, cols) = (4usize, 128u32, 160u32);
+        let wire = block(rows, cols);
+        let matrix = Matrix::from_vec(
+            rows as usize,
+            cols as usize,
+            wire.elements
+                .iter()
+                .map(|&v| <Fp<P25> as avcc_field::PrimeField>::from_u64(v))
+                .collect(),
+        );
+        let x: Vec<Fp<P25>> = (1..=u64::from(cols))
+            .map(<Fp<P25> as avcc_field::PrimeField>::from_u64)
             .collect();
-        let outcomes = executor.run_round(tasks, |v: &Vec<F25>| v.len() * 8, |_, _| false);
-        assert_eq!(outcomes.len(), workers);
-        for outcome in &outcomes {
-            assert_eq!(outcome.payload, expected);
-        }
+        let expected: Vec<u64> = mat_vec(&matrix, &x).iter().map(|v| v.value()).collect();
+        avcc_pool::scope(|scope| {
+            for _ in 0..4 {
+                let (matrix, x, expected) = (&matrix, &x, &expected);
+                scope.spawn(move || {
+                    let mut executor = ThreadedExecutor::new(ClusterProfile::uniform(workers));
+                    let outcomes = run(&mut executor, workers, rows, cols);
+                    assert_eq!(outcomes.len(), workers);
+                    for outcome in &outcomes {
+                        assert_eq!(&outcome.payload[0], expected);
+                    }
+                    let parallel: Vec<u64> = mat_vec_parallel(matrix, x, 4)
+                        .iter()
+                        .map(|v| v.value())
+                        .collect();
+                    assert_eq!(&parallel, expected);
+                });
+            }
+        });
     }
 
     /// A 2×2 block over the 25-bit field for trait-path churn tests.
@@ -887,9 +814,8 @@ mod tests {
     #[test]
     fn threaded_executor_collects_all_workers() {
         let profile = ClusterProfile::uniform(4).with_stragglers(&[3], 5.0);
-        let executor = ThreadedExecutor::new(profile);
-        let tasks: Vec<_> = (0..4).map(|w| busy_task(w, 5_000)).collect();
-        let outcomes = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
+        let mut executor = ThreadedExecutor::new(profile);
+        let outcomes = run(&mut executor, 4, 32, 32);
         assert_eq!(outcomes.len(), 4);
         let mut workers: Vec<usize> = outcomes.iter().map(|o| o.worker).collect();
         workers.sort_unstable();

@@ -25,9 +25,11 @@
 //!
 //! # Executor selection
 //!
-//! All engines run one task per simulated worker and return
-//! [`executor::WorkerOutcome`]s in arrival order; they differ in what
-//! "time" means and on what the tasks run:
+//! All engines implement the modulus-erased [`executor::Executor`] trait:
+//! blocks are installed once per job, each round multiplies every worker's
+//! block by its inputs, and the outcomes come back as
+//! [`executor::WorkerOutcome`]s in arrival order. They differ in what
+//! "time" means and on what the products run:
 //!
 //! | Engine | Tasks run on | Arrival time | Use when |
 //! |---|---|---|---|
@@ -39,12 +41,11 @@
 //! cost model *measures* each task with a monotonic clock — concurrent
 //! tasks would contend for cores and corrupt each other's measurements. The
 //! threaded engine, conversely, exists to exhibit real concurrency, and
-//! since PR4 dispatches worker tasks onto the shared work-stealing pool
-//! rather than spawning one OS thread per worker: worker tasks may
-//! themselves call the pool-parallel kernels in `avcc_linalg`, and the
-//! nested fan-out (round × blocked kernel) shares one fixed thread set —
-//! composable, deadlock-free (waiting threads execute pending tasks), and
-//! never oversubscribed.
+//! dispatches worker products onto the shared work-stealing pool rather
+//! than spawning one OS thread per worker: a round started from inside
+//! other pool work (round × blocked kernel, or many jobs' rounds at once)
+//! shares one fixed thread set — composable, deadlock-free (waiting
+//! threads execute pending tasks), and never oversubscribed.
 //!
 //! # Cost accounting
 //!

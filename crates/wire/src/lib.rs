@@ -49,6 +49,6 @@ pub use frame::{
 };
 pub use message::{
     result_frame_bytes, task_frame_bytes, Block, ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task,
-    TaskResult,
+    TaskResult, MAX_FUNCTIONS,
 };
 pub use worker::{serve_connection, WorkerOptions};

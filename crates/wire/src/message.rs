@@ -141,6 +141,31 @@ impl Block {
     }
 }
 
+/// Most functions one `TASK` or `TASK_RESULT` may carry. The count comes
+/// from the peer and sizes an allocation and a loop before any vector is
+/// read, so it is capped even when the vectors are empty (where the payload
+/// length alone would not bound it). Batches in this repository use at most
+/// a few dozen functions.
+pub const MAX_FUNCTIONS: usize = 4096;
+
+/// Rejects a peer-supplied `functions` count before it sizes anything: more
+/// vectors of `len` elements than the remaining bytes can hold is
+/// `Truncated`, and a count above [`MAX_FUNCTIONS`] is `Malformed`.
+fn check_functions(
+    r: &WireReader<'_>,
+    functions: usize,
+    len: usize,
+    context: &'static str,
+) -> Result<(), WireError> {
+    if len > 0 && functions > r.remaining() / (len * 8) {
+        return Err(WireError::Truncated { context });
+    }
+    if functions > MAX_FUNCTIONS {
+        return Err(WireError::Malformed { context });
+    }
+    Ok(())
+}
+
 /// Master → worker: one round's inputs (the block is already resident).
 ///
 /// `inputs` is rectangular: `functions` vectors of `input_len` elements each
@@ -176,6 +201,7 @@ impl Task {
         let sleep_micros = r.take_u64("TASK sleep")?;
         let functions = r.take_u32("TASK functions")? as usize;
         let input_len = r.take_u32("TASK input_len")? as usize;
+        check_functions(&r, functions, input_len, "TASK functions")?;
         let mut inputs = Vec::with_capacity(functions);
         for _ in 0..functions {
             inputs.push(take_u64_elements(&mut r, input_len, "TASK inputs")?);
@@ -229,6 +255,7 @@ impl TaskResult {
         let compute_seconds = r.take_f64("RESULT compute_seconds")?;
         let functions = r.take_u32("RESULT functions")? as usize;
         let output_len = r.take_u32("RESULT output_len")? as usize;
+        check_functions(&r, functions, output_len, "RESULT functions")?;
         let mut outputs = Vec::with_capacity(functions);
         for _ in 0..functions {
             outputs.push(take_u64_elements(&mut r, output_len, "RESULT outputs")?);
@@ -355,6 +382,51 @@ pub fn task_frame_bytes(functions: usize, input_len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `TASK` or `TASK_RESULT` payload declaring `functions` vectors of
+    /// `len` elements, with no element bytes behind the header.
+    fn header_only(result: bool, functions: u32, len: u32) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        if result {
+            w.put_u32(0);
+            w.put_f64(0.0);
+        } else {
+            w.put_u64(0);
+        }
+        w.put_u32(functions);
+        w.put_u32(len);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn hostile_function_counts_are_typed_errors() {
+        for result in [false, true] {
+            let decode = |bytes: &[u8]| {
+                if result {
+                    TaskResult::decode(bytes).map(|_| ())
+                } else {
+                    Task::decode(bytes).map(|_| ())
+                }
+            };
+            // Zero-length vectors: only the cap stops a 2^32-step loop.
+            assert!(matches!(
+                decode(&header_only(result, u32::MAX, 0)),
+                Err(WireError::Malformed { .. })
+            ));
+            // One element each: the remaining bytes bound the count before
+            // anything is allocated.
+            assert!(matches!(
+                decode(&header_only(result, u32::MAX, 1)),
+                Err(WireError::Truncated { .. })
+            ));
+            // The cap itself is accepted for empty vectors.
+            assert!(decode(&header_only(result, MAX_FUNCTIONS as u32, 0)).is_ok());
+            assert!(matches!(
+                decode(&header_only(result, MAX_FUNCTIONS as u32 + 1, 0)),
+                Err(WireError::Malformed { .. })
+            ));
+        }
+    }
 
     #[test]
     fn hello_roundtrip() {

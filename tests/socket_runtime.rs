@@ -17,10 +17,8 @@ use avcc::sim::cluster::ClusterProfile;
 use avcc::sim::executor::{Executor, ThreadedExecutor};
 use avcc::sim::socket::{SocketConfig, SocketExecutor, Transport, WorkerBackend};
 use avcc::sim::wire::FaultKind;
-use avcc_coding::{DualCodeword, SchemeConfig};
+use avcc_coding::SchemeConfig;
 use avcc_serve::{serve_distributed, JobOutput, JobSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn worker_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_avcc-worker"))
@@ -53,7 +51,7 @@ fn small_problem() -> TrainingProblem {
     TrainingProblem::from_dataset(&dataset, 9)
 }
 
-fn make_trainer() -> DistributedTrainer<P25> {
+fn make_trainer(scheme: SchemeKind) -> DistributedTrainer<P25> {
     DistributedTrainer::new(
         small_problem(),
         ClusterProfile::uniform(12),
@@ -61,10 +59,7 @@ fn make_trainer() -> DistributedTrainer<P25> {
         TrainerConfig {
             iterations: 4,
             time_scale: 1.0,
-            ..TrainerConfig::paper_defaults(
-                SchemeKind::Avcc,
-                SchemeConfig::linear(12, 9, 2, 1).unwrap(),
-            )
+            ..TrainerConfig::paper_defaults(scheme, SchemeConfig::linear(12, 9, 2, 1).unwrap())
         },
         "socket-acceptance",
     )
@@ -76,10 +71,10 @@ fn make_trainer() -> DistributedTrainer<P25> {
 /// evictions look like stragglers, and exact decode erases them.
 #[test]
 fn training_over_tcp_processes_survives_kill_and_corruption() {
-    let mut oracle = make_trainer();
+    let mut oracle = make_trainer(SchemeKind::Avcc);
     let oracle_report = oracle.train().expect("oracle training");
 
-    let mut trainer = make_trainer();
+    let mut trainer = make_trainer(SchemeKind::Avcc);
     let mut fleet = process_fleet(12, Transport::Tcp);
     let mut runner = WireRunner::new();
     let mut cumulative = 0.0;
@@ -169,61 +164,56 @@ fn batched_matmul_over_uds_processes_is_exact() {
     assert!(fleet.metrics().evictions >= 1, "the bad CRC must evict");
 }
 
-/// Runs the trainer's screened loop over `executor`: every round passes
-/// through [`WireRunner::run_round_screened`], which evicts RS-inconsistent
-/// blocks before the trainer's collect ever sees them. Returns the trained
-/// model's trajectory inputs plus how many evictions the screen made.
+/// Runs a Static VCC trainer over `executor` on the round path every caller
+/// uses — [`WireRunner::run_round`] plus the trainer's collect, whose AVCC
+/// engine screens RS-inconsistent blocks before any Freivalds check. Static
+/// VCC keeps the Byzantine worker in the fleet (AVCC would evict it after
+/// the first detection), so every iteration screens it again.
 fn run_screened_training(
     executor: &mut dyn Executor,
     byzantine: &ByzantineSpec,
-    seed: u64,
-) -> (DistributedTrainer<P25>, Vec<IterationRecord>, usize) {
-    let mut trainer = make_trainer();
-    let screen = DualCodeword::<P25>::new(*trainer.current_coding());
+) -> (DistributedTrainer<P25>, Vec<IterationRecord>) {
+    let mut trainer = make_trainer(SchemeKind::StaticVcc);
     let mut runner = WireRunner::new();
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut cumulative = 0.0;
     let mut records = Vec::new();
-    let mut screened_total = 0;
     for iteration in 0..trainer.iterations() {
         let round1_tasks = trainer.encode_round1();
-        let (round1, screened1) = runner
-            .run_round_screened(executor, 0, &round1_tasks, byzantine, &screen, &mut rng)
-            .expect("screened round 1");
-        assert_eq!(screened1, vec![3], "the corrupted block must be screened");
-        screened_total += screened1.len();
+        let round1 = runner
+            .run_round(executor, 0, &round1_tasks, byzantine)
+            .expect("round 1");
         let round2_tasks = trainer.collect_round1(&round1).expect("collect round 1");
-        let (round2, screened2) = runner
-            .run_round_screened(executor, 1, &round2_tasks, byzantine, &screen, &mut rng)
-            .expect("screened round 2");
-        assert_eq!(screened2, vec![3], "round 2 is corrupted too");
-        screened_total += screened2.len();
+        let round2 = runner
+            .run_round(executor, 1, &round2_tasks, byzantine)
+            .expect("round 2");
         let record = trainer
             .collect_round2(iteration, &round2, &mut cumulative)
             .expect("collect round 2");
+        assert_eq!(
+            record.screened_workers,
+            vec![3],
+            "the corrupted block must be screened"
+        );
         records.push(record);
     }
-    (trainer, records, screened_total)
+    (trainer, records)
 }
 
 /// A worker *process* returning Byzantine-corrupted blocks (master-side
 /// spec — the same injection path the in-process executors use) is caught
-/// by the pre-decode dual-codeword screen and evicted before collect ever
-/// sees it: downstream it is indistinguishable from a straggler (no
-/// Byzantine detection recorded), and the training trajectory is
-/// bit-identical to the same screened loop over the in-process
-/// `ThreadedExecutor`.
+/// by the pre-decode dual-codeword screen in the trainer's collect, before
+/// any Freivalds check: it is reported as screened (and therefore detected)
+/// and never feeds the decoder, and the training trajectory is bit-identical
+/// to the same loop over the in-process `ThreadedExecutor`.
 #[test]
 fn screened_training_over_processes_matches_threaded_executor() {
     let byzantine = ByzantineSpec::new([3], AttackModel::constant());
 
     let mut fleet = process_fleet(12, Transport::Tcp);
-    let (socket_trainer, socket_records, socket_screened) =
-        run_screened_training(&mut fleet, &byzantine, 1009);
+    let (socket_trainer, socket_records) = run_screened_training(&mut fleet, &byzantine);
 
     let mut threaded = ThreadedExecutor::new(ClusterProfile::uniform(12));
-    let (oracle_trainer, oracle_records, oracle_screened) =
-        run_screened_training(&mut threaded, &byzantine, 1009);
+    let (oracle_trainer, oracle_records) = run_screened_training(&mut threaded, &byzantine);
 
     // Bit-identical models and trajectories across the process boundary.
     assert_eq!(
@@ -238,17 +228,15 @@ fn screened_training_over_processes_matches_threaded_executor() {
     };
     assert_eq!(trajectory(&socket_records), trajectory(&oracle_records));
 
-    // Two rounds screened per iteration, on both executors.
-    assert_eq!(socket_screened, 2 * socket_records.len());
-    assert_eq!(socket_screened, oracle_screened);
-
-    // The evicted worker is erased from the round before the trainer's
-    // collect runs — no Byzantine detection is ever recorded (time-based
-    // straggler observation doesn't list it either: like a worker that
-    // never answered, it simply isn't among the arrivals).
-    for record in &socket_records {
-        assert!(record.detected_byzantine.is_empty());
-        assert!(record.screened_workers.is_empty());
+    // Every iteration screens worker 3 on both executors; screened workers
+    // are detected Byzantine, and the screen's work is the same on both.
+    assert_eq!(socket_records.len(), oracle_records.len());
+    for (socket, oracle) in socket_records.iter().zip(&oracle_records) {
+        assert_eq!(socket.screened_workers, vec![3]);
+        assert_eq!(socket.detected_byzantine, vec![3]);
+        assert_eq!(oracle.screened_workers, vec![3]);
+        assert_eq!(oracle.detected_byzantine, vec![3]);
+        assert_eq!(socket.ops, oracle.ops);
     }
 }
 
