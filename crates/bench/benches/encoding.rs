@@ -6,7 +6,9 @@
 //! collapses to `O(N log N)` transforms, and the same holds for full-coset
 //! erasure decoding.
 
-use avcc_coding::{EvaluationPoints, LagrangeDecoder, LagrangeEncoder, SchemeConfig};
+use avcc_coding::{
+    EncodedDataset, EvaluationPoints, LagrangeDecoder, LagrangeEncoder, SchemeConfig,
+};
 use avcc_field::{F25, F64, P25, P64};
 use avcc_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -55,6 +57,18 @@ fn bench_private_encoding(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     c.bench_function("encode/private_t2", |bencher| {
         bencher.iter(|| encoder.encode(black_box(&blocks), &mut rng))
+    });
+}
+
+/// The `serve-matvec` job encode: `EncodedDataset::encode` of one 1800×900
+/// matrix under the paper's `(12, 9, 2, 1)` coding — nine systematic copies
+/// and three nine-term parity shares.
+fn bench_serve_dataset_encoding(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let matrix = Matrix::from_vec(1800, 900, avcc_field::random_matrix(&mut rng, 1800, 900));
+    let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
+    c.bench_function("encode/serve_1800x900", |bencher| {
+        bencher.iter(|| EncodedDataset::<P25>::encode(black_box(&matrix), config, &mut rng))
     });
 }
 
@@ -136,6 +150,7 @@ criterion_group!(
     bench_mds_encoding_by_size,
     bench_encoding_by_worker_count,
     bench_private_encoding,
+    bench_serve_dataset_encoding,
     bench_f64_matrix_vs_ntt_encoding,
     bench_f64_matrix_vs_ntt_decoding
 );

@@ -33,18 +33,6 @@ use crate::decoder::LagrangeDecoder;
 use crate::encoder::LagrangeEncoder;
 use crate::scheme::SchemeConfig;
 
-/// Pads a matrix with zero rows so its row count is a multiple of `parts`.
-fn pad_rows_to_multiple<M: PrimeModulus>(matrix: &Matrix<Fp<M>>, parts: usize) -> Matrix<Fp<M>> {
-    let remainder = matrix.rows() % parts;
-    if remainder == 0 {
-        return matrix.clone();
-    }
-    let extra = parts - remainder;
-    let mut data = matrix.data().to_vec();
-    data.extend(std::iter::repeat_n(Fp::<M>::ZERO, extra * matrix.cols()));
-    Matrix::from_vec(matrix.rows() + extra, matrix.cols(), data)
-}
-
 /// How the dataset's shares were produced.
 #[derive(Debug, Clone)]
 enum DatasetCoding<M: PrimeModulus> {
@@ -86,23 +74,30 @@ impl<M: PrimeModulus> EncodedDataset<M> {
         config: SchemeConfig,
         rng: &mut R,
     ) -> Self {
-        let output_rows = matrix.rows();
-        let padded = pad_rows_to_multiple(matrix, config.partitions);
-        let blocks = padded.split_rows(config.partitions);
-        let block_rows = blocks[0].rows();
-        let encoder = LagrangeEncoder::<M>::new(config);
-        let shares = if config.colluding == 0 {
-            encoder.encode_deterministic(&blocks)
-        } else {
-            encoder.encode(&blocks, rng)
-        }
-        .into_iter()
-        .map(|s| Arc::new(s.block))
-        .collect();
+        let parts = config.partitions;
+        let block_rows = matrix.rows().div_ceil(parts);
+        let block_len = block_rows * matrix.cols();
+        // Whole blocks are row ranges of the matrix itself; only a ragged
+        // tail (`rows % K ≠ 0`) is copied and padded with zero rows.
+        let whole = matrix.len().checked_div(block_len).unwrap_or(parts);
+        let (body, rest) = matrix.data().split_at(whole * block_len);
+        let mut tail = rest.to_vec();
+        tail.resize((parts - whole) * block_len, Fp::<M>::ZERO);
+        let blocks: Vec<&[Fp<M>]> = (0..parts)
+            .map(|j| match j.checked_sub(whole) {
+                None => &body[j * block_len..(j + 1) * block_len],
+                Some(t) => &tail[t * block_len..(t + 1) * block_len],
+            })
+            .collect();
+        let shares = LagrangeEncoder::<M>::new(config)
+            .encode_slices(&blocks, block_rows, matrix.cols(), rng)
+            .into_iter()
+            .map(|s| Arc::new(s.block))
+            .collect();
         EncodedDataset {
             shares,
             block_rows,
-            output_rows,
+            output_rows: matrix.rows(),
             coding: DatasetCoding::Lagrange {
                 config,
                 decoder: Box::new(LagrangeDecoder::new(config)),

@@ -15,25 +15,79 @@
 //!
 //! # Encoding paths
 //!
-//! With the default ([`EvaluationPoints::standard`]) points every share is a
-//! `(K+T)`-term linear combination — `O((K+T)·N)` multiply-reduces per
-//! coordinate. When the points are in subgroup position
-//! ([`EvaluationPoints::subgroup`], chosen automatically by
-//! [`EvaluationPoints::auto`] on NTT-friendly fields) the encoder instead
-//! interpolates `u` with one inverse NTT over the β-subgroup (size `K+T`) and
-//! evaluates it at all worker points with one forward NTT over the α-coset
-//! (size `next_pow2(N)`) — `O(N log N)` per coordinate, selected
-//! automatically at construction. Both paths produce the evaluations of the
+//! Both paths read the `K` data blocks in place, as borrowed slices
+//! ([`LagrangeEncoder::encode_slices`]; [`LagrangeEncoder::encode`] passes a
+//! matrix list's storage, [`crate::EncodedDataset::encode`] row ranges of one
+//! matrix), and draw the `T` pads from the caller's rng first, in order.
+//!
+//! * **Matrix path** ([`EvaluationPoints::standard`] points): share `i` is
+//!   `Σ_j U[j][i]·X_j`. A unit column — a systematic share, `X̃_i = X_i` —
+//!   is a straight copy. Every other share is allocated once and filled in
+//!   place, one 1024-coordinate tile at a time: the tile's `u128` lanes stay
+//!   in L1 while the `K + T` input streams pass through, with one reduction
+//!   per coordinate. The copies and the (share, coordinate-range) tiles run
+//!   as tasks on the global [`avcc_pool`] (inline on a 1-thread pool).
+//! * **NTT path** (points in subgroup position —
+//!   [`EvaluationPoints::subgroup`], chosen automatically by
+//!   [`EvaluationPoints::auto`] on NTT-friendly fields when `K + T` is a
+//!   power of two): one inverse NTT over the β-subgroup (size `K + T`)
+//!   interpolates `u` and one forward NTT over the α-coset (size
+//!   `next_pow2(N)`) evaluates it at every worker point — `O(N log N)` per
+//!   coordinate instead of `O((K+T)·N)`.
+//!
+//! The path is fixed at construction. Both produce the evaluations of the
 //! same degree-`< K+T` polynomial at the same points, so they are
 //! interchangeable share-for-share.
 
-use avcc_field::{random_matrix, Fp, PrimeModulus};
+use avcc_field::{random_matrix, Fp, PrimeModulus, WideAccumulator};
 use avcc_linalg::Matrix;
 use avcc_poly::{LagrangeBasis, NttPlan};
 use rand::Rng;
 
 use crate::points::EvaluationPoints;
 use crate::scheme::SchemeConfig;
+
+/// Coordinates per accumulation tile of the matrix path: the tile's `u128`
+/// lanes (16 KiB) stay in L1 while the `K + T` input streams pass through.
+const TILE: usize = 1024;
+
+/// Input elements read per pool task of the matrix path (a task's coordinate
+/// range times its share's term count): large enough that queueing costs
+/// little next to the work, small enough that every thread gets several
+/// tasks on a serving-sized encode.
+const TASK_READS: usize = 1 << 16;
+
+/// Coordinates per task for a share with `terms` nonzero coefficients: a
+/// whole number of tiles reading about [`TASK_READS`] input elements.
+fn task_len(terms: usize) -> usize {
+    (TASK_READS / terms.max(1)).div_ceil(TILE).max(1) * TILE
+}
+
+/// One nonzero term `(U[j][i], X_j)` of a share's combination.
+type Term<'a, M> = (Fp<M>, &'a [Fp<M>]);
+
+/// The input of a unit column (one term with coefficient 1 — a systematic
+/// share), which the share copies verbatim.
+fn unit_column<'a, M: PrimeModulus>(terms: &[Term<'a, M>]) -> Option<&'a [Fp<M>]> {
+    match terms {
+        [(coefficient, input)] if *coefficient == Fp::<M>::ONE => Some(input),
+        _ => None,
+    }
+}
+
+/// Fills `out` with coordinates `start..start + out.len()` of the share
+/// `Σ_{(c, X) ∈ terms} c·X`, one tile at a time with a single reduction per
+/// coordinate.
+fn accumulate_into<M: PrimeModulus>(out: &mut [Fp<M>], start: usize, terms: &[Term<'_, M>]) {
+    for (index, tile) in out.chunks_mut(TILE).enumerate() {
+        let from = start + index * TILE;
+        let mut accumulator = WideAccumulator::<M>::new(tile.len());
+        for &(coefficient, input) in terms {
+            accumulator.axpy(coefficient, &input[from..from + tile.len()]);
+        }
+        accumulator.finish_into(tile);
+    }
+}
 
 /// A coded data block assigned to one worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,8 +131,8 @@ pub struct LagrangeEncoder<M: PrimeModulus> {
 impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// Builds the encoder with automatically selected evaluation points
     /// ([`EvaluationPoints::auto`]: subgroup position on NTT-friendly fields
-    /// when `K + T` is a power of two, the standard integer points otherwise)
-    /// and precomputes the encoding matrix.
+    /// when `K + T` is a power of two, the standard integer points otherwise).
+    /// The encoding matrix is built on first use.
     pub fn new(config: SchemeConfig) -> Self {
         Self::with_points(
             config,
@@ -159,12 +213,41 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// Encodes the `K` data blocks into `N` coded shares, drawing the `T`
     /// privacy pads uniformly at random from `rng`.
     ///
+    /// A thin wrapper over [`LagrangeEncoder::encode_slices`] on the blocks'
+    /// storage.
+    ///
     /// # Panics
     /// Panics if the number of blocks differs from `K` or the blocks disagree
     /// in shape.
     pub fn encode<R: Rng + ?Sized>(
         &self,
         blocks: &[Matrix<Fp<M>>],
+        rng: &mut R,
+    ) -> Vec<EncodedShare<M>> {
+        let (rows, cols) = blocks.first().map_or((0, 0), |b| (b.rows(), b.cols()));
+        assert!(
+            blocks.iter().all(|b| (b.rows(), b.cols()) == (rows, cols)),
+            "all data blocks must have the same shape"
+        );
+        let slices: Vec<&[Fp<M>]> = blocks.iter().map(Matrix::data).collect();
+        self.encode_slices(&slices, rows, cols, rng)
+    }
+
+    /// Encodes `K` borrowed data blocks, each the row-major storage of a
+    /// `rows × cols` block, into `N` coded shares, drawing the `T` privacy
+    /// pads uniformly at random from `rng` (nothing is drawn when `T = 0`).
+    ///
+    /// The blocks are read in place: callers holding one matrix pass
+    /// row-range slices of it rather than copies.
+    ///
+    /// # Panics
+    /// Panics if the number of blocks differs from `K` or a block's length
+    /// differs from `rows · cols`.
+    pub fn encode_slices<R: Rng + ?Sized>(
+        &self,
+        blocks: &[&[Fp<M>]],
+        rows: usize,
+        cols: usize,
         rng: &mut R,
     ) -> Vec<EncodedShare<M>> {
         assert_eq!(
@@ -174,45 +257,75 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
             self.config.partitions,
             blocks.len()
         );
-        let rows = blocks[0].rows();
-        let cols = blocks[0].cols();
-        for block in blocks {
-            assert_eq!(
-                (block.rows(), block.cols()),
-                (rows, cols),
-                "all data blocks must have the same shape"
-            );
-        }
+        let len = rows * cols;
+        assert!(
+            blocks.iter().all(|block| block.len() == len),
+            "all data blocks must have the same shape"
+        );
         // Draw the T privacy pads.
-        let pads: Vec<Matrix<Fp<M>>> = (0..self.config.colluding)
-            .map(|_| Matrix::from_vec(rows, cols, random_matrix(rng, rows, cols)))
+        let pads: Vec<Vec<Fp<M>>> = (0..self.config.colluding)
+            .map(|_| random_matrix(rng, rows, cols))
             .collect();
-
-        if self.ntt.is_some() {
-            return self.encode_ntt(blocks, &pads, rows, cols);
-        }
-
-        let encoding_matrix = self.encoding_matrix();
-        (0..self.config.workers)
-            .map(|worker| {
-                // Lazy reduction across all K+T blocks: the u128 lanes absorb
-                // one product per block and reduce once per lane at the end
-                // (see avcc_field::batch::WideAccumulator).
-                let mut coded = avcc_field::WideAccumulator::<M>::new(rows * cols);
-                for (j, block) in blocks.iter().chain(pads.iter()).enumerate() {
-                    let coefficient = encoding_matrix[j][worker];
-                    if coefficient == Fp::<M>::ZERO {
-                        continue;
-                    }
-                    coded.axpy(coefficient, block.data());
-                }
-                EncodedShare {
-                    worker,
-                    alpha: self.points.alpha()[worker],
-                    block: Matrix::from_vec(rows, cols, coded.finish()),
-                }
+        let inputs: Vec<&[Fp<M>]> = blocks
+            .iter()
+            .copied()
+            .chain(pads.iter().map(Vec::as_slice))
+            .collect();
+        let coded = if self.ntt.is_some() {
+            self.encode_ntt(&inputs, len)
+        } else {
+            self.encode_tiled(&inputs, len)
+        };
+        coded
+            .into_iter()
+            .enumerate()
+            .map(|(worker, data)| EncodedShare {
+                worker,
+                alpha: self.points.alpha()[worker],
+                block: Matrix::from_vec(rows, cols, data),
             })
             .collect()
+    }
+
+    /// The matrix path: share `i` is `Σ_j U[j][i]·X_j` over the `K + T`
+    /// inputs, computed as (share, coordinate-range) tasks on the global
+    /// pool. Each share is allocated once and filled in place.
+    fn encode_tiled(&self, inputs: &[&[Fp<M>]], len: usize) -> Vec<Vec<Fp<M>>> {
+        let matrix = self.encoding_matrix();
+        // Each share's nonzero terms `(U[j][i], X_j)`.
+        let columns: Vec<Vec<Term<'_, M>>> = (0..self.config.workers)
+            .map(|worker| {
+                matrix
+                    .iter()
+                    .zip(inputs)
+                    .map(|(row, &input)| (row[worker], input))
+                    .filter(|&(coefficient, _)| coefficient != Fp::<M>::ZERO)
+                    .collect()
+            })
+            .collect();
+        // Every share is allocated here, on the calling thread, so the
+        // shares come from the caller's allocator arena rather than the pool
+        // threads' (which would hold freed shares apart from the caller's
+        // later allocations and raise peak RSS). A unit column is one copy
+        // task; every other share is zeroed and accumulated in place, one
+        // coordinate range per task.
+        let mut coded: Vec<Vec<Fp<M>>> = (0..self.config.workers)
+            .map(|_| Vec::with_capacity(len))
+            .collect();
+        avcc_pool::scope(|scope| {
+            for (output, terms) in coded.iter_mut().zip(&columns) {
+                if let Some(input) = unit_column(terms) {
+                    scope.spawn(move || output.extend_from_slice(input));
+                    continue;
+                }
+                output.resize(len, Fp::<M>::ZERO);
+                let chunk = task_len(terms.len());
+                for (index, out) in output.chunks_mut(chunk).enumerate() {
+                    scope.spawn(move || accumulate_into(out, index * chunk, terms));
+                }
+            }
+        });
+        coded
     }
 
     /// The `O(N log N)`-per-coordinate fast path for subgroup points.
@@ -224,38 +337,20 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// forward NTT into the evaluation `u(g·ω_A^i)` at every worker point at
     /// once. All transforms run block-at-a-time over vector lanes, so every
     /// coordinate is carried through together with contiguous access.
-    fn encode_ntt(
-        &self,
-        blocks: &[Matrix<Fp<M>>],
-        pads: &[Matrix<Fp<M>>],
-        rows: usize,
-        cols: usize,
-    ) -> Vec<EncodedShare<M>> {
+    fn encode_ntt(&self, inputs: &[&[Fp<M>]], len: usize) -> Vec<Vec<Fp<M>>> {
         let ntt = self.ntt.as_ref().expect("caller checked the fast path");
         let layout = self
             .points
             .ntt_layout()
             .expect("NTT plans imply a subgroup layout");
-        let mut lanes: Vec<Vec<Fp<M>>> = blocks
-            .iter()
-            .chain(pads.iter())
-            .map(|block| block.data().to_vec())
-            .collect();
+        let mut lanes: Vec<Vec<Fp<M>>> = inputs.iter().map(|input| input.to_vec()).collect();
         debug_assert_eq!(lanes.len(), ntt.interpolate.len());
         ntt.interpolate.inverse_vectors(&mut lanes);
         ntt.evaluate.coset_scale_vectors(&mut lanes, layout.shift);
-        lanes.resize(ntt.evaluate.len(), vec![Fp::<M>::ZERO; rows * cols]);
+        lanes.resize(ntt.evaluate.len(), vec![Fp::<M>::ZERO; len]);
         ntt.evaluate.forward_vectors(&mut lanes);
+        lanes.truncate(self.config.workers);
         lanes
-            .into_iter()
-            .take(self.config.workers)
-            .enumerate()
-            .map(|(worker, lane)| EncodedShare {
-                worker,
-                alpha: self.points.alpha()[worker],
-                block: Matrix::from_vec(rows, cols, lane),
-            })
-            .collect()
     }
 
     /// Encodes without privacy pads (valid only when `T = 0`); deterministic,
@@ -455,9 +550,10 @@ mod tests {
 
         #[test]
         fn ntt_shares_match_the_encoding_matrix() {
-            // The two paths must agree share-for-share: the constructor still
-            // precomputes the (K+T)×N matrix, so recompute every share as the
-            // explicit linear combination Σ_j U[j][i]·X_j and compare.
+            // The two paths must agree share-for-share: the (K+T)×N matrix
+            // is still available (built on first access), so recompute every
+            // share as the explicit linear combination Σ_j U[j][i]·X_j and
+            // compare.
             let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
             let encoder = LagrangeEncoder::<P64>::new(config);
             assert!(encoder.uses_ntt());

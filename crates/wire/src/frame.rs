@@ -38,6 +38,11 @@ pub const TRAILER_LEN: usize = 4;
 /// corrupted or hostile length field.
 pub const DEFAULT_MAX_PAYLOAD: usize = 1 << 28;
 
+/// Receive-buffer growth step (1 MiB): a frame body is read this many bytes
+/// at a time, so memory follows the bytes that actually arrive rather than
+/// the header's length field.
+const READ_STEP: usize = 1 << 20;
+
 /// What a frame carries; the `kind` byte at offset 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -191,8 +196,16 @@ pub fn read_frame<R: Read>(
         });
     }
 
-    let mut body = vec![0u8; payload_len + TRAILER_LEN];
-    read_exact_mid_frame(reader, &mut body, "frame payload")?;
+    // The body buffer grows one step at a time as bytes arrive, so a header
+    // alone commits the receiver to at most `READ_STEP` bytes; a body that
+    // fits in one step is one allocation and one read pass.
+    let body_len = payload_len + TRAILER_LEN;
+    let mut body = Vec::with_capacity(body_len.min(READ_STEP));
+    while body.len() < body_len {
+        let filled = body.len();
+        body.resize(body_len.min(filled + READ_STEP), 0);
+        read_exact_mid_frame(reader, &mut body[filled..], "frame payload")?;
+    }
     let found = u32::from_le_bytes(body[payload_len..].try_into().expect("4 bytes"));
     let mut crc = Crc32c::new();
     crc.update(&header).update(&body[..payload_len]);
@@ -384,6 +397,64 @@ mod tests {
                 max: 1024
             }) if len == u32::MAX as usize
         ));
+    }
+
+    /// Yields a fixed byte prefix, then EOF; records the largest buffer a
+    /// read was handed after the prefix ran out.
+    struct PrefixThenEof {
+        prefix: Vec<u8>,
+        offset: usize,
+        largest_tail_read: usize,
+    }
+
+    impl Read for PrefixThenEof {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let rest = &self.prefix[self.offset..];
+            if rest.is_empty() {
+                self.largest_tail_read = self.largest_tail_read.max(buf.len());
+                return Ok(0);
+            }
+            let n = rest.len().min(buf.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            self.offset += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn max_length_header_then_eof_is_truncated_after_one_step() {
+        // A bare header announcing the largest allowed payload must end in a
+        // typed error, having committed at most one growth step of buffer.
+        let header = Frame::new(FrameKind::Task, 0, 0, Vec::new()).encode()[..HEADER_LEN - 4]
+            .iter()
+            .copied()
+            .chain((DEFAULT_MAX_PAYLOAD as u32).to_le_bytes())
+            .collect();
+        let mut reader = PrefixThenEof {
+            prefix: header,
+            offset: 0,
+            largest_tail_read: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut reader, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::Truncated { .. })
+        ));
+        assert!(reader.largest_tail_read > 0);
+        assert!(reader.largest_tail_read <= READ_STEP);
+    }
+
+    #[test]
+    fn frames_larger_than_one_step_roundtrip() {
+        let frame = Frame::new(
+            FrameKind::LoadBlock,
+            3,
+            4,
+            (0..READ_STEP * 2 + 5).map(|i| i as u8).collect(),
+        );
+        let bytes = frame.encode();
+        let (back, consumed) = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(back, frame);
+        assert_eq!(consumed, bytes.len());
     }
 
     #[test]
