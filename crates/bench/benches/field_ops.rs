@@ -183,13 +183,14 @@ fn dot_single_lane<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
     Fp::<M>::new(M::reduce_wide(accumulator))
 }
 
-/// Vector-vs-scalar dot: the [`avcc_field::DOT_LANES`]-striped kernel
-/// against the PR1 single-accumulator baseline, on the moduli whose collapse
-/// cadence makes striping worthwhile (`p61`: every 63 products; `p64`:
-/// every product — `P25`/`P251` keep the single accumulator via the
-/// `LANE_STRIPE_MAX_BATCH` const branch, exactly as they keep their folds
-/// over Montgomery). CI gates `vectorized` not losing to `scalar` at
-/// length ≥ 4096 (`scripts/bench_regression.py`).
+/// Vector-vs-scalar dot: `avcc_field::dot` against the single-accumulator
+/// `u128` baseline [`dot_single_lane`]. On `p61` (collapse every 63
+/// products) and `p64` (every product) `vectorized` is the
+/// [`avcc_field::DOT_LANES`]-striped `u128` kernel; on `p25` it is the `u64`
+/// lane kernel (`q ≤ 2^32`: `u32 × u32 → u64` multiply-adds, one collapse
+/// per 16 384 products), which the optimizer vectorizes. CI gates
+/// `vectorized` not losing to `scalar` at length ≥ 4096
+/// (`scripts/bench_regression.py`).
 fn bench_dot_lanes(c: &mut Criterion) {
     fn run<M: PrimeModulus>(c: &mut Criterion, field_name: &str, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -209,6 +210,7 @@ fn bench_dot_lanes(c: &mut Criterion) {
 
     run::<P61>(c, "p61", 12);
     run::<P64>(c, "p64", 13);
+    run::<P25>(c, "p25", 14);
 }
 
 fn bench_batch_inverse(c: &mut Criterion) {

@@ -414,8 +414,9 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
             let coefficients = basis_rows
                 .next()
                 .expect("one basis row per interpolated β-point");
-            // One lazy-reduction pass over the selected workers: the u128
-            // lanes absorb one product per worker and reduce once at the end.
+            // One lazy-reduction pass over the selected workers: the
+            // accumulator lanes absorb one product per worker and reduce
+            // once at the end.
             let mut block = avcc_field::WideAccumulator::<M>::new(width);
             for ((_, vector), &coefficient) in ordered.iter().zip(coefficients.iter()) {
                 if coefficient == Fp::<M>::ZERO {

@@ -23,9 +23,9 @@
 //! * **Matrix path** ([`EvaluationPoints::standard`] points): share `i` is
 //!   `Σ_j U[j][i]·X_j`. A unit column — a systematic share, `X̃_i = X_i` —
 //!   is a straight copy. Every other share is allocated once and filled in
-//!   place, one 1024-coordinate tile at a time: the tile's `u128` lanes stay
-//!   in L1 while the `K + T` input streams pass through, with one reduction
-//!   per coordinate. The copies and the (share, coordinate-range) tiles run
+//!   place, one 1024-coordinate tile at a time: the tile's accumulator lanes
+//!   (`u64` for `q ≤ 2^32`, else `u128`) stay in L1 while the `K + T` input
+//!   streams pass through, with one reduction per coordinate. The copies and the (share, coordinate-range) tiles run
 //!   as tasks on the global [`avcc_pool`] (inline on a 1-thread pool).
 //! * **NTT path** (points in subgroup position —
 //!   [`EvaluationPoints::subgroup`], chosen automatically by
@@ -47,8 +47,9 @@ use rand::Rng;
 use crate::points::EvaluationPoints;
 use crate::scheme::SchemeConfig;
 
-/// Coordinates per accumulation tile of the matrix path: the tile's `u128`
-/// lanes (16 KiB) stay in L1 while the `K + T` input streams pass through.
+/// Coordinates per accumulation tile of the matrix path: the tile's lanes
+/// (8 KiB of `u64`, or 16 KiB of `u128` for `q > 2^32`) stay in L1 while the
+/// `K + T` input streams pass through.
 const TILE: usize = 1024;
 
 /// Input elements read per pool task of the matrix path (a task's coordinate

@@ -303,6 +303,21 @@ mod tests {
         config
     }
 
+    /// [`quick`] with the compute time scale at zero, for tests that assert
+    /// a detection. Every result's virtual arrival is then its network time
+    /// alone, equal across the fleet, so results arrive in dispatch order
+    /// whatever the host's load: the Byzantine worker of
+    /// [`FaultScenario::paper`] (index `stragglers`, here 1) is always the
+    /// second arrival and always verified before the recovery threshold.
+    /// With wall-clock compute times it could arrive last among the
+    /// non-stragglers in every round and never be checked.
+    fn quick_in_dispatch_order(config: ExperimentConfig) -> ExperimentConfig {
+        ExperimentConfig {
+            time_scale: 0.0,
+            ..quick(config)
+        }
+    }
+
     #[test]
     fn paper_constructors_produce_feasible_configurations() {
         let scenario = FaultScenario::paper(1, 1, AttackModel::reverse());
@@ -335,7 +350,7 @@ mod tests {
     #[test]
     fn avcc_experiment_runs_end_to_end() {
         let scenario = FaultScenario::paper(1, 1, AttackModel::constant());
-        let config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
+        let config = quick_in_dispatch_order(ExperimentConfig::paper_avcc(2, 1, scenario));
         let report = run_experiment::<P25>(&config).unwrap();
         assert_eq!(report.len(), 5);
         assert_eq!(report.scheme, "avcc");
@@ -350,10 +365,13 @@ mod tests {
         // quantization, encoding, verification or decoding assumes a small
         // modulus).
         let scenario = FaultScenario::paper(1, 1, AttackModel::constant());
-        let config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
+        let config = quick_in_dispatch_order(ExperimentConfig::paper_avcc(2, 1, scenario));
         let report = run_experiment::<P64>(&config).unwrap();
         assert_eq!(report.len(), 5);
         assert!(report.total_detections() > 0);
+        // Dispatch order puts the Byzantine worker inside the threshold of
+        // the very first round.
+        assert_eq!(report.iterations[0].detected_byzantine, vec![1]);
     }
 
     #[test]
@@ -361,7 +379,7 @@ mod tests {
         // K = 8 with 12 workers on F64: the encoder takes the NTT fast path
         // (power-of-two K), training must converge identically through it.
         let scenario = FaultScenario::paper(1, 1, AttackModel::reverse());
-        let mut config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
+        let mut config = quick_in_dispatch_order(ExperimentConfig::paper_avcc(2, 1, scenario));
         config.partitions = 8;
         let report = run_experiment::<P64>(&config).unwrap();
         assert_eq!(report.len(), 5);

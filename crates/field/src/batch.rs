@@ -4,38 +4,109 @@
 //! These are the inner loops of the encoder (`X̃ = Σ X_j ℓ_j(α)`), the worker
 //! compute kernels (`X̃ w`, `X̃ᵀ e`) and the Freivalds verifier (`r · z̃`).
 //! They exploit *lazy reduction*: products of canonical representatives are
-//! accumulated unreduced in `u128` lanes and collapsed through the modulus's
-//! specialized [`PrimeModulus::reduce_wide`] backend only every
-//! [`PrimeModulus::WIDE_BATCH`] products — a compile-time bound derived from
-//! the modulus (see [`assert_wide_batch`]) guaranteeing the accumulator can
-//! never overflow. For the paper's 25-bit field the batch exceeds any
-//! realistic vector length, so a dot product performs exactly one reduction;
-//! for the 61-bit field a reduction happens every ~63 products.
+//! accumulated unreduced in [`Lane`]s and collapsed through the modulus's
+//! specialized [`PrimeModulus::reduce_wide`] backend only once per batch of
+//! products — a compile-time bound derived from the modulus (see
+//! [`assert_wide_batch`]) guaranteeing a lane can never overflow.
 //!
-//! On top of the lazy reduction, the hot sweeps ([`dot`],
-//! [`WideAccumulator::axpy`]) are *vectorized*: they stripe over
-//! [`DOT_LANES`] independent `u128` accumulator lanes so consecutive
+//! The lane width follows the modulus ([`narrow_lanes`]):
+//!
+//! * **`u64` lanes** for `q ≤ 2^32` ([`PrimeModulus::NARROW_BATCH`] ≥ 1).
+//!   Canonical values fit in 32 bits, so every product is a
+//!   `u32 × u32 → u64` multiply-add, which the optimizer vectorizes
+//!   (`pmuludq` on the baseline x86-64 target) — no `unsafe`, no target
+//!   feature. The paper's 25-bit field collapses once per 16 384 products.
+//! * **`u128` lanes** for larger moduli ([`PrimeModulus::WIDE_BATCH`]
+//!   products per collapse): every ~63 products for the 61-bit field, every
+//!   product for Goldilocks.
+//!
+//! On the `u128` path, whose collapse cadence is tight, [`dot`] additionally
+//! stripes over [`DOT_LANES`] independent accumulator lanes so consecutive
 //! multiply-adds never serialize on a single accumulator's add-with-carry
-//! chain. The striping is pure instruction-level parallelism in safe,
-//! portable code — no `unsafe`, no target-feature gates — and the
-//! [`PrimeModulus::WIDE_BATCH`] overflow bound is enforced per lane by the
-//! same compile-time guard, so the vector path admits exactly the moduli the
-//! scalar path did.
+//! chain. The striping is
+//! pure instruction-level parallelism in safe, portable code, and the
+//! overflow bound is enforced per lane by the same compile-time guard, so the
+//! vector path admits exactly the moduli the scalar path did.
 
 use crate::fp::{Fp, PrimeField, PrimeModulus};
 
 /// Compile-time guard that lazy accumulation is sound for a modulus: at least
-/// one product must fit per reduction. Every kernel in this module evaluates
-/// it in an inline-`const` block, so an unsound modulus fails to *compile*
-/// rather than overflow at run time.
+/// one product must fit per reduction in a `u128` lane, and a nonzero
+/// [`PrimeModulus::NARROW_BATCH`] must fit its products (and one canonical
+/// carry-in) in a `u64` lane. Every kernel in this module evaluates it in an
+/// inline-`const` block, so an unsound modulus fails to *compile* rather than
+/// overflow at run time.
 pub const fn assert_wide_batch<M: PrimeModulus>() {
     assert!(
         M::WIDE_BATCH >= 1,
         "modulus too large for lazy reduction: one (q-1)^2 product must fit in u128"
     );
+    let top = (M::MODULUS - 1) as u128;
+    assert!(
+        M::NARROW_BATCH == 0
+            || (M::MODULUS <= 1 << 32
+                && top + M::NARROW_BATCH as u128 * top * top <= u64::MAX as u128),
+        "NARROW_BATCH overflows a u64 lane"
+    );
 }
 
-/// Number of independent `u128` accumulator lanes the vectorized kernels
+/// Whether modulus `M` accumulates in `u64` lanes (`q ≤ 2^32`) instead of
+/// `u128` lanes. Every lazy-reduction kernel selects its [`Lane`] type
+/// through this one `const` predicate.
+pub const fn narrow_lanes<M: PrimeModulus>() -> bool {
+    M::NARROW_BATCH > 0
+}
+
+/// An unreduced accumulator word of the lazy-reduction kernels: `u64` when
+/// [`narrow_lanes`] holds, `u128` otherwise. The kernels are written once
+/// over this trait; `From<u64>` lifts a canonical representative.
+pub trait Lane: Copy + From<u64> + core::ops::AddAssign {
+    /// Products a lane absorbs, on top of one canonical carry-in, between
+    /// collapses under modulus `M`.
+    fn batch<M: PrimeModulus>() -> usize;
+    /// The exact product of two canonical representatives.
+    fn product(a: u64, b: u64) -> Self;
+    /// The canonical representative of the lane's value modulo `M`.
+    fn reduce<M: PrimeModulus>(self) -> u64;
+}
+
+impl Lane for u64 {
+    #[inline(always)]
+    fn batch<M: PrimeModulus>() -> usize {
+        M::NARROW_BATCH
+    }
+
+    /// Both factors are canonical, hence below `2^32` on this lane: the
+    /// casts spell a `u32 × u32 → u64` multiply, which vectorizes.
+    #[inline(always)]
+    fn product(a: u64, b: u64) -> u64 {
+        (a as u32 as u64) * (b as u32 as u64)
+    }
+
+    #[inline(always)]
+    fn reduce<M: PrimeModulus>(self) -> u64 {
+        M::reduce_wide(self as u128)
+    }
+}
+
+impl Lane for u128 {
+    #[inline(always)]
+    fn batch<M: PrimeModulus>() -> usize {
+        M::WIDE_BATCH
+    }
+
+    #[inline(always)]
+    fn product(a: u64, b: u64) -> u128 {
+        a as u128 * b as u128
+    }
+
+    #[inline(always)]
+    fn reduce<M: PrimeModulus>(self) -> u64 {
+        M::reduce_wide(self)
+    }
+}
+
+/// Number of independent `u128` accumulator lanes the striped kernels
 /// stripe over. A single running accumulator serializes on its own add
 /// (`u128` add-with-carry latency per product) and, worse, on the
 /// [`PrimeModulus::reduce_wide`] collapse it must pay every
@@ -44,17 +115,6 @@ pub const fn assert_wide_batch<M: PrimeModulus>() {
 /// all four in registers. The lanes are folded with field additions only at
 /// the end, so the result is bit-identical to the single-lane kernel.
 pub const DOT_LANES: usize = 4;
-
-/// Batch size above which [`dot`] skips the lane striping and keeps one
-/// running accumulator. Striping pays off exactly when the collapse cadence
-/// is tight (`F_{2^61-1}`: every 63 products; Goldilocks: every product) —
-/// the per-lane collapses then overlap instead of serializing. When a single
-/// accumulator can absorb any realistic vector without collapsing (the
-/// 25-bit field's batch is ≈ 2^78), the loop is a plain multiply-add
-/// reduction that the optimizer already reassociates across iterations, and
-/// manual striping only adds bookkeeping — measured, see the
-/// `dot_lanes/<field>` benches and `BENCH_PR4.json`.
-pub const LANE_STRIPE_MAX_BATCH: usize = 1 << 16;
 
 /// Element-wise sum of two equal-length slices into a new vector.
 ///
@@ -113,11 +173,12 @@ pub fn slice_axpy<M: PrimeModulus>(acc: &mut [Fp<M>], c: Fp<M>, b: &[Fp<M>]) {
     }
 }
 
-/// Inner product `Σ a[i]·b[i]` with lazy reduction, vectorized over
-/// [`DOT_LANES`] independent `u128` accumulator lanes for the moduli whose
-/// collapse cadence is tight enough to profit (see
-/// [`LANE_STRIPE_MAX_BATCH`]; the selection is a `const` branch that folds
-/// away).
+/// Inner product `Σ a[i]·b[i]` with lazy reduction.
+///
+/// Narrow moduli ([`narrow_lanes`]) keep one running `u64` accumulator,
+/// which the optimizer already runs wide; `u128` moduli stripe over
+/// [`DOT_LANES`] independent lanes (the selection is a `const` branch that
+/// folds away).
 ///
 /// On the striped path, unreduced products stripe across the lanes
 /// (`lane[j]` absorbs elements `j, j+4, j+8, …` of each chunk), each lane is
@@ -135,17 +196,8 @@ pub fn slice_axpy<M: PrimeModulus>(acc: &mut [Fp<M>], c: Fp<M>, b: &[Fp<M>]) {
 pub fn dot<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
     const { assert_wide_batch::<M>() }
-    if const { M::WIDE_BATCH > LANE_STRIPE_MAX_BATCH } {
-        // Huge-batch moduli: one accumulator, (almost) no collapses — the
-        // optimizer already runs this reduction wide.
-        let mut accumulator: u128 = 0;
-        for (chunk_a, chunk_b) in a.chunks(M::WIDE_BATCH).zip(b.chunks(M::WIDE_BATCH)) {
-            for (&x, &y) in chunk_a.iter().zip(chunk_b.iter()) {
-                accumulator += x.value() as u128 * y.value() as u128;
-            }
-            accumulator = M::reduce_wide(accumulator) as u128;
-        }
-        return Fp::from_canonical(M::reduce_wide(accumulator));
+    if const { narrow_lanes::<M>() } {
+        return dot_narrow(a, b);
     }
     let chunk_len = M::WIDE_BATCH.saturating_mul(DOT_LANES);
     let mut lanes = [0u128; DOT_LANES];
@@ -177,28 +229,58 @@ pub fn dot<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
         .fold(Fp::<M>::ZERO, |acc, lane| acc + lane)
 }
 
-/// A vector of `u128` lanes accumulating unreduced products — the shared
-/// engine of the Lagrange encoder (`Σ_j ℓ_j(α)·X_j`), the erasure decoder and
-/// the blocked matrix kernels.
+/// The single-accumulator `u64`-lane dot: each chunk of
+/// [`PrimeModulus::NARROW_BATCH`] products is summed onto the canonical
+/// running total and collapsed once.
+fn dot_narrow<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
+    let batch = M::NARROW_BATCH;
+    let mut total = 0u64;
+    for (chunk_a, chunk_b) in a.chunks(batch).zip(b.chunks(batch)) {
+        let mut accumulator = total;
+        for (&x, &y) in chunk_a.iter().zip(chunk_b) {
+            accumulator += <u64 as Lane>::product(x.value(), y.value());
+        }
+        total = accumulator.reduce::<M>();
+    }
+    Fp::from_canonical(total)
+}
+
+/// A vector of unreduced [`Lane`]s — `u64` or `u128`, by [`narrow_lanes`] —
+/// the shared engine of the Lagrange encoder (`Σ_j ℓ_j(α)·X_j`), the erasure
+/// decoder, the screen and the blocked matrix kernels.
 ///
-/// Each `axpy` adds one product per lane; after [`PrimeModulus::WIDE_BATCH`]
+/// Each `axpy` adds one product per lane; after the lane type's batch
+/// ([`PrimeModulus::NARROW_BATCH`] or [`PrimeModulus::WIDE_BATCH`]) of
 /// accumulated products the lanes are collapsed with one reduction each.
-/// Compared to repeated [`slice_axpy`] this performs `1/WIDE_BATCH` as many
-/// reductions (for the 25-bit field: one reduction per lane, total).
+/// Compared to repeated [`slice_axpy`] this performs `1/batch` as many
+/// reductions (for the 25-bit field: one per 16 384 products per lane).
 #[derive(Debug, Clone)]
 pub struct WideAccumulator<M: PrimeModulus> {
-    lanes: Vec<u128>,
+    lanes: Lanes,
     /// Products accumulated since the last collapse.
     pending: usize,
     _modulus: core::marker::PhantomData<M>,
+}
+
+/// The lane storage of a [`WideAccumulator`]; [`WideAccumulator::new`]
+/// picks the variant with [`narrow_lanes`].
+#[derive(Debug, Clone)]
+enum Lanes {
+    Narrow(Vec<u64>),
+    Wide(Vec<u128>),
 }
 
 impl<M: PrimeModulus> WideAccumulator<M> {
     /// Creates a zeroed accumulator with `len` lanes.
     pub fn new(len: usize) -> Self {
         const { assert_wide_batch::<M>() }
+        let lanes = if const { narrow_lanes::<M>() } {
+            Lanes::Narrow(vec![0; len])
+        } else {
+            Lanes::Wide(vec![0; len])
+        };
         WideAccumulator {
-            lanes: vec![0u128; len],
+            lanes,
             pending: 0,
             _modulus: core::marker::PhantomData,
         }
@@ -206,44 +288,28 @@ impl<M: PrimeModulus> WideAccumulator<M> {
 
     /// Number of lanes.
     pub fn len(&self) -> usize {
-        self.lanes.len()
+        match &self.lanes {
+            Lanes::Narrow(lanes) => lanes.len(),
+            Lanes::Wide(lanes) => lanes.len(),
+        }
     }
 
     /// `true` iff the accumulator has no lanes.
     pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
+        self.len() == 0
     }
 
     /// Fused multiply-add `lane[i] += c · b[i]`, reducing lazily.
     ///
-    /// The sweep is unrolled [`DOT_LANES`] lanes at a time: the lanes are
-    /// already independent, and the explicit four-wide groups keep the
-    /// `u128` multiply-adds flowing without per-element loop control.
-    ///
     /// # Panics
     /// Panics if `b.len()` differs from the number of lanes.
     pub fn axpy(&mut self, c: Fp<M>, b: &[Fp<M>]) {
-        assert_eq!(self.lanes.len(), b.len(), "axpy length mismatch");
-        if self.pending == M::WIDE_BATCH {
-            self.collapse();
+        assert_eq!(self.len(), b.len(), "axpy length mismatch");
+        let pending = &mut self.pending;
+        match &mut self.lanes {
+            Lanes::Narrow(lanes) => axpy_lanes(lanes, pending, c, b),
+            Lanes::Wide(lanes) => axpy_lanes(lanes, pending, c, b),
         }
-        let scale = c.value() as u128;
-        let mut lane_groups = self.lanes.chunks_exact_mut(DOT_LANES);
-        let mut b_groups = b.chunks_exact(DOT_LANES);
-        for (lanes, values) in lane_groups.by_ref().zip(b_groups.by_ref()) {
-            lanes[0] += scale * values[0].value() as u128;
-            lanes[1] += scale * values[1].value() as u128;
-            lanes[2] += scale * values[2].value() as u128;
-            lanes[3] += scale * values[3].value() as u128;
-        }
-        for (lane, &y) in lane_groups
-            .into_remainder()
-            .iter_mut()
-            .zip(b_groups.remainder())
-        {
-            *lane += scale * y.value() as u128;
-        }
-        self.pending += 1;
     }
 
     /// Adds already-canonical values (one addition counts as one product
@@ -252,30 +318,23 @@ impl<M: PrimeModulus> WideAccumulator<M> {
     /// # Panics
     /// Panics if `b.len()` differs from the number of lanes.
     pub fn add(&mut self, b: &[Fp<M>]) {
-        assert_eq!(self.lanes.len(), b.len(), "add length mismatch");
-        if self.pending == M::WIDE_BATCH {
-            self.collapse();
+        assert_eq!(self.len(), b.len(), "add length mismatch");
+        let pending = &mut self.pending;
+        match &mut self.lanes {
+            Lanes::Narrow(lanes) => add_lanes(lanes, pending, b),
+            Lanes::Wide(lanes) => add_lanes(lanes, pending, b),
         }
-        for (lane, &y) in self.lanes.iter_mut().zip(b.iter()) {
-            *lane += y.value() as u128;
-        }
-        self.pending += 1;
-    }
-
-    /// Reduces every lane to its canonical representative in place.
-    fn collapse(&mut self) {
-        for lane in self.lanes.iter_mut() {
-            *lane = M::reduce_wide(*lane) as u128;
-        }
-        self.pending = 0;
     }
 
     /// Reduces and returns the accumulated vector.
     pub fn finish(self) -> Vec<Fp<M>> {
-        self.lanes
-            .into_iter()
-            .map(|lane| Fp::from_canonical(M::reduce_wide(lane)))
-            .collect()
+        // The output gets its own allocation. A `u64` lane vector has `Fp`'s
+        // size and alignment, so collecting it would reuse the lane buffer
+        // in place, and that variant measured 882–890 MB peak RSS on the
+        // train-wide benchmark against 849 MB for this one.
+        let mut out = vec![Fp::<M>::ZERO; self.len()];
+        self.finish_into(&mut out);
+        out
     }
 
     /// Reduces the accumulated values into an existing slice (the blocked
@@ -283,11 +342,71 @@ impl<M: PrimeModulus> WideAccumulator<M> {
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the number of lanes.
-    pub fn finish_into(mut self, out: &mut [Fp<M>]) {
-        assert_eq!(self.lanes.len(), out.len(), "finish_into length mismatch");
-        for (slot, lane) in out.iter_mut().zip(self.lanes.drain(..)) {
-            *slot = Fp::from_canonical(M::reduce_wide(lane));
+    pub fn finish_into(self, out: &mut [Fp<M>]) {
+        assert_eq!(self.len(), out.len(), "finish_into length mismatch");
+        match &self.lanes {
+            Lanes::Narrow(lanes) => reduce_lanes(lanes, out),
+            Lanes::Wide(lanes) => reduce_lanes(lanes, out),
         }
+    }
+}
+
+/// The [`WideAccumulator::axpy`] sweep over lane type `L`, collapsing first
+/// when the lanes already hold a full batch. The sweep is unrolled
+/// [`DOT_LANES`] lanes at a time: the lanes are already independent, and the
+/// explicit four-wide groups keep the multiply-adds flowing without
+/// per-element loop control.
+fn axpy_lanes<M: PrimeModulus, L: Lane>(
+    lanes: &mut [L],
+    pending: &mut usize,
+    c: Fp<M>,
+    b: &[Fp<M>],
+) {
+    if *pending == L::batch::<M>() {
+        collapse::<M, L>(lanes, pending);
+    }
+    let scale = c.value();
+    let mut lane_groups = lanes.chunks_exact_mut(DOT_LANES);
+    let mut b_groups = b.chunks_exact(DOT_LANES);
+    for (lanes, values) in lane_groups.by_ref().zip(b_groups.by_ref()) {
+        lanes[0] += L::product(scale, values[0].value());
+        lanes[1] += L::product(scale, values[1].value());
+        lanes[2] += L::product(scale, values[2].value());
+        lanes[3] += L::product(scale, values[3].value());
+    }
+    for (lane, &y) in lane_groups
+        .into_remainder()
+        .iter_mut()
+        .zip(b_groups.remainder())
+    {
+        *lane += L::product(scale, y.value());
+    }
+    *pending += 1;
+}
+
+/// The [`WideAccumulator::add`] sweep over lane type `L`.
+fn add_lanes<M: PrimeModulus, L: Lane>(lanes: &mut [L], pending: &mut usize, b: &[Fp<M>]) {
+    if *pending == L::batch::<M>() {
+        collapse::<M, L>(lanes, pending);
+    }
+    for (lane, &y) in lanes.iter_mut().zip(b) {
+        *lane += L::from(y.value());
+    }
+    *pending += 1;
+}
+
+/// Reduces every lane to its canonical representative in place.
+fn collapse<M: PrimeModulus, L: Lane>(lanes: &mut [L], pending: &mut usize) {
+    for lane in lanes.iter_mut() {
+        *lane = L::from(lane.reduce::<M>());
+    }
+    *pending = 0;
+}
+
+/// Writes the canonical value of every lane into `out`.
+fn reduce_lanes<M: PrimeModulus, L: Lane>(lanes: &[L], out: &mut [Fp<M>]) {
+    for (slot, &lane) in out.iter_mut().zip(lanes) {
+        *slot = Fp::from_canonical(lane.reduce::<M>());
     }
 }
 
@@ -326,6 +445,120 @@ mod tests {
         // The 64-bit Goldilocks modulus degenerates to one product per
         // reduction — the minimum the compile-time guard admits.
         assert_eq!(crate::fp::P64::WIDE_BATCH, 1);
+    }
+
+    #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn narrow_batch_is_the_exact_u64_lane_capacity() {
+        // A u64 lane holds one canonical carry-in plus NARROW_BATCH products
+        // of (q−1)², and not one more.
+        fn check<M: PrimeModulus>() {
+            let top = (M::MODULUS - 1) as u128;
+            let batch = M::NARROW_BATCH as u128;
+            assert!(top + batch * top * top <= u64::MAX as u128, "{}", M::NAME);
+            assert!(
+                (u64::MAX as u128) < top + (batch + 1) * top * top,
+                "{}",
+                M::NAME
+            );
+        }
+        check::<P25>();
+        check::<P251>();
+        assert_eq!(P25::NARROW_BATCH, 16_384);
+        // Canonical values above 2^32 do not fit the u32 × u32 multiply.
+        assert_eq!(P61::NARROW_BATCH, 0);
+        assert_eq!(crate::fp::P64::NARROW_BATCH, 0);
+        assert!(narrow_lanes::<P25>() && narrow_lanes::<P251>());
+        assert!(!narrow_lanes::<P61>() && !narrow_lanes::<crate::fp::P64>());
+    }
+
+    /// Explicit `u128` reference for the narrow-lane equivalence tests: every
+    /// product reduced on its own, summed in a `u128`.
+    fn reference_dot<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
+        let mut total = 0u128;
+        for (&x, &y) in a.iter().zip(b) {
+            total += M::reduce_wide(x.value() as u128 * y.value() as u128) as u128;
+        }
+        Fp::new(M::reduce_wide(total))
+    }
+
+    /// Random canonical values and all-`(q−1)` values — the lane's worst case.
+    fn narrow_inputs<M: PrimeModulus>(len: usize, seed: u64) -> [Vec<Fp<M>>; 2] {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let random = (0..len)
+            .map(|_| Fp::new(rng.gen_range(0..M::MODULUS)))
+            .collect();
+        [random, vec![Fp::new(M::MODULUS - 1); len]]
+    }
+
+    /// Lengths around the `u64` lane's collapse boundary (capped for
+    /// `P251`, whose batch of ~2^48 products no test can reach).
+    fn narrow_lengths<M: PrimeModulus>() -> [usize; 4] {
+        let batch = M::NARROW_BATCH.min(P25::NARROW_BATCH);
+        [batch - 1, batch, batch + 1, 2 * batch + 3]
+    }
+
+    #[test]
+    fn narrow_dot_matches_u128_reference_across_the_batch() {
+        fn check<M: PrimeModulus>() {
+            for len in narrow_lengths::<M>() {
+                let [random, top] = narrow_inputs::<M>(len, 1);
+                let [other, _] = narrow_inputs::<M>(len, 2);
+                for (a, b) in [(&random, &other), (&top, &top), (&random, &top)] {
+                    assert_eq!(dot(a, b), reference_dot(a, b), "{} len {len}", M::NAME);
+                }
+            }
+        }
+        check::<P25>();
+        check::<P251>();
+    }
+
+    #[test]
+    fn narrow_accumulator_matches_u128_reference_across_the_batch() {
+        // axpy and add counts below, at, just past and well past the u64
+        // batch, so every collapse boundary is crossed; finish and
+        // finish_into must agree with a u128 reference of the same sums.
+        // The all-(q−1) run is axpy only, the lane's worst case; the random
+        // run mixes in adds.
+        fn check<M: PrimeModulus>() {
+            let width = 7;
+            for count in narrow_lengths::<M>() {
+                let [random, top] = narrow_inputs::<M>(count + width, 3);
+                let [other, _] = narrow_inputs::<M>(count + width, 4);
+                for (coefficients, values, with_adds) in
+                    [(&random, &other, true), (&top, &top, false)]
+                {
+                    let mut accumulator = WideAccumulator::<M>::new(width);
+                    let mut sums = vec![0u128; width];
+                    for step in 0..count {
+                        let row = &values[step..step + width];
+                        if with_adds && step % 5 == 4 {
+                            accumulator.add(row);
+                            for (sum, &y) in sums.iter_mut().zip(row) {
+                                *sum += y.value() as u128;
+                            }
+                        } else {
+                            let c = coefficients[step];
+                            accumulator.axpy(c, row);
+                            for (sum, &y) in sums.iter_mut().zip(row) {
+                                *sum += (c.value() as u128) * (y.value() as u128);
+                            }
+                        }
+                    }
+                    let expected: Vec<Fp<M>> = sums
+                        .iter()
+                        .map(|&sum| Fp::new(M::reduce_wide(sum)))
+                        .collect();
+                    let mut into = vec![Fp::<M>::ONE; width];
+                    accumulator.clone().finish_into(&mut into);
+                    assert_eq!(into, expected, "{} count {count}", M::NAME);
+                    assert_eq!(accumulator.finish(), expected, "{} count {count}", M::NAME);
+                }
+            }
+        }
+        check::<P25>();
+        check::<P251>();
     }
 
     #[test]

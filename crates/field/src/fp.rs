@@ -59,6 +59,26 @@ pub trait PrimeModulus:
             capacity as usize
         }
     };
+    /// How many unreduced products of canonical representatives a `u64`
+    /// accumulator can absorb (on top of one canonical carry-in) before it
+    /// could overflow: `⌊(2^64 − 1 − q) / (q−1)²⌋`, clamped to `usize`, for
+    /// `q ≤ 2^32`; 0 for larger moduli, whose canonical values do not fit the
+    /// `u32 × u32 → u64` multiply. A nonzero value selects the `u64` lanes of
+    /// the batch kernels ([`crate::batch`]); it is 16 384 for [`P25`]. Derived
+    /// from the modulus, never configured.
+    const NARROW_BATCH: usize = {
+        if Self::MODULUS > 1 << 32 {
+            0
+        } else {
+            let bound = (Self::MODULUS - 1) * (Self::MODULUS - 1);
+            let capacity = (u64::MAX - Self::MODULUS) / bound;
+            if capacity as u128 > usize::MAX as u128 {
+                usize::MAX
+            } else {
+                capacity as usize
+            }
+        }
+    };
 
     /// Whether the long-product-chain paths (`pow`, Fermat inversion,
     /// Montgomery batch inversion, NTT twiddle multiplies, power series)

@@ -24,8 +24,9 @@
 //!   product. Selection is compile-time via the [`MontgomeryModulus`]
 //!   marker / [`PrimeModulus::MONTGOMERY_CHAINS`] flag.
 //! * [`batch`] — slice-level kernels: element-wise operations, dot products
-//!   with lazy reduction, the [`WideAccumulator`] engine of the encoder and
-//!   decoder, Montgomery batch inversion.
+//!   with lazy reduction in `u64` lanes (`q ≤ 2^32`) or `u128` lanes, the
+//!   [`WideAccumulator`] engine of the encoder and decoder, Montgomery batch
+//!   inversion.
 //! * [`quantize`] — fixed-point quantization between `f64` and `F_q` using the
 //!   two's-complement style signed embedding described in §V of the paper
 //!   (values above `(q−1)/2` represent negative numbers), together with
@@ -57,7 +58,7 @@
 //!
 //! | Modulus | One-shot products / lazy sums | Long chains | Why |
 //! |---------|-------------------------------|-------------|-----|
-//! | [`P25`] | pseudo-Mersenne fold | fold (opted out) | the 3-fold reduction is cheaper than the 3-multiply REDC step, and `WIDE_BATCH ≈ 2^78` makes lazy accumulation nearly free |
+//! | [`P25`] | pseudo-Mersenne fold | fold (opted out) | the 3-fold reduction is cheaper than the 3-multiply REDC step, and `u64` lanes with `NARROW_BATCH = 16 384` make lazy accumulation nearly free |
 //! | [`P61`] | Mersenne fold | fold (opted out) | same: shift-add folds beat REDC per multiply |
 //! | [`P64`] | Goldilocks ε-fold | **Montgomery** | `WIDE_BATCH = 1` forces a reduction per chained product; REDC keeps Fermat's 64-squaring ladder and the NTT butterflies (twiddles pre-converted once per plan) in-domain |
 //! | [`P251`] (and any structureless prime) | Barrett | **Montgomery** | Barrett's 128×128 high multiply per product loses to REDC on any chain longer than the two domain conversions — gated in CI at chain length ≥ 64 |
@@ -69,22 +70,26 @@
 //!
 //! # Overflow bounds (lazy reduction)
 //!
-//! The batch and linalg kernels do not reduce per product. A `u128` lane
-//! holding one canonical carry-in (`< q`) absorbs up to
-//! [`PrimeModulus::WIDE_BATCH`]` = ⌊(2^128 − q) / (q−1)²⌋` unreduced products
-//! before it could overflow:
+//! The batch and linalg kernels do not reduce per product. They accumulate
+//! in `u64` lanes when the modulus allows it and in `u128` lanes otherwise
+//! ([`batch::narrow_lanes`]). A lane holding one canonical carry-in (`< q`)
+//! absorbs, before it could overflow,
 //!
-//! * `q = 2^25 − 39`: products are `< 2^50`, so the batch is `≈ 2^78` — one
-//!   reduction per lane for any realistic vector length;
-//! * `q = 2^61 − 1`: products are `< 2^122`, so the batch is 63 — one
-//!   reduction per 63 products.
+//! * `u64` lanes (`q ≤ 2^32`): [`PrimeModulus::NARROW_BATCH`]` =
+//!   ⌊(2^64 − 1 − q) / (q−1)²⌋` unreduced products. For `q = 2^25 − 39`
+//!   products are `< 2^50`, so the batch is 16 384. The products are
+//!   `u32 × u32 → u64` multiply-adds, which the optimizer vectorizes.
+//! * `u128` lanes: [`PrimeModulus::WIDE_BATCH`]` = ⌊(2^128 − q) / (q−1)²⌋`
+//!   products. For `q = 2^61 − 1` products are `< 2^122`, so the batch is
+//!   63; for Goldilocks it is 1.
 //!
-//! Every kernel checks the bound at **compile time** via an inline-`const`
+//! Every kernel checks both bounds at **compile time** via an inline-`const`
 //! evaluation of [`batch::assert_wide_batch`], so an unsound modulus is a
-//! build error, not a run-time overflow. This replaces the paper's
-//! 64-bit-accumulator constraint `d·(q−1)² ≤ 2^63 − 1` (§V) with a 128-bit
-//! budget that admits the GISETTE dimension `d = 5000` in both fields with
-//! a single reduction per lane (`F25`) or 79 reductions (`F61`).
+//! build error, not a run-time overflow. This generalizes the paper's
+//! 64-bit-accumulator constraint `d·(q−1)² ≤ 2^63 − 1` (§V): instead of
+//! bounding the dimension, the `u64` lane collapses once per 16 384 products
+//! in `F25` (the GISETTE dimension `d = 5000` fits one batch), and `F61`
+//! reduces 79 times over `d = 5000` in its `u128` lanes.
 //!
 //! # Example
 //!
@@ -120,7 +125,8 @@ pub use rng::{random_element, random_matrix, random_vector};
 /// The field used throughout the paper: `q = 2^25 − 39`, the largest 25-bit
 /// prime. With the GISETTE-like feature dimension `d = 5000` the worst-case
 /// inner product satisfies `d (q−1)^2 ≤ 2^63 − 1`, so accumulation fits in a
-/// 64-bit register (we still accumulate in `u128` for safety at larger `d`).
+/// 64-bit register; the kernels accumulate in `u64` lanes and collapse once
+/// per [`PrimeModulus::NARROW_BATCH`] = 16 384 products, so any `d` is safe.
 pub type F25 = Fp<P25>;
 
 /// A larger field, `q = 2^61 − 1` (a Mersenne prime), for workloads whose

@@ -6,10 +6,13 @@
 //! ([`mat_vec`]) and round two computes `g̃ = X̃ᵀ e` ([`matt_vec`]).
 //!
 //! All kernels are built on *lazy reduction* (see [`avcc_field::batch`]):
-//! unreduced products accumulate in `u128` lanes and collapse through the
-//! modulus's specialized [`PrimeModulus::reduce_wide`] backend once per
-//! [`PrimeModulus::WIDE_BATCH`] products, so the inner loops are
-//! multiply-add only — no division, no per-element reduction:
+//! unreduced products accumulate in `u64` lanes when `q ≤ 2^32` (vectorized
+//! `u32 × u32 → u64` multiply-adds, [`PrimeModulus::NARROW_BATCH`] products
+//! per collapse) and in `u128` lanes otherwise
+//! ([`PrimeModulus::WIDE_BATCH`] products per collapse), collapsing through
+//! the modulus's specialized [`PrimeModulus::reduce_wide`] backend, so the
+//! inner loops are multiply-add only — no division, no per-element
+//! reduction:
 //!
 //! * [`mat_vec`] — register-blocked: four rows share one streaming pass over
 //!   `x`, each with its own lazy accumulator.
@@ -29,14 +32,14 @@
 //! without oversubscribing the machine: the `threads` argument caps the
 //! chunk count, and the pool schedules chunks onto its fixed worker set.
 
-use avcc_field::batch::assert_wide_batch;
+use avcc_field::batch::{assert_wide_batch, narrow_lanes, Lane};
 use avcc_field::{Fp, PrimeModulus, WideAccumulator};
 
 use crate::matrix::Matrix;
 use crate::partition::{auto_chunk_count, chunk_ranges, pool_map};
 
 /// Number of output rows that share one streaming pass over `B` (or over `x`)
-/// in the blocked kernels. Chosen so a strip of `u128` accumulator lanes for
+/// in the blocked kernels. Chosen so a strip of accumulator lanes for
 /// typical widths stays within L2 while still cutting memory traffic on the
 /// streamed operand by the same factor.
 pub const MAT_MAT_ROW_BLOCK: usize = 8;
@@ -48,7 +51,8 @@ const PARALLEL_MIN_ELEMENTS: usize = 1 << 14;
 ///
 /// Rows are processed four at a time so each streamed load of `x[j]` feeds
 /// four multiply-adds; accumulation is lazy with one reduction per row per
-/// [`PrimeModulus::WIDE_BATCH`] products.
+/// lane batch ([`PrimeModulus::NARROW_BATCH`] or
+/// [`PrimeModulus::WIDE_BATCH`] products).
 ///
 /// # Panics
 /// Panics if `x.len() != A.cols()`.
@@ -57,37 +61,52 @@ pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
     mat_vec_rows(a, x, 0..a.rows())
 }
 
-/// The row-range worker behind [`mat_vec`] / [`mat_vec_parallel`].
+/// The row-range worker behind [`mat_vec`] / [`mat_vec_parallel`], on the
+/// modulus's lane width ([`narrow_lanes`]).
 fn mat_vec_rows<M: PrimeModulus>(
     a: &Matrix<Fp<M>>,
     x: &[Fp<M>],
     rows: core::ops::Range<usize>,
 ) -> Vec<Fp<M>> {
+    if const { narrow_lanes::<M>() } {
+        mat_vec_rows_in::<M, u64>(a, x, rows)
+    } else {
+        mat_vec_rows_in::<M, u128>(a, x, rows)
+    }
+}
+
+/// [`mat_vec_rows`] accumulating in lane type `L`.
+fn mat_vec_rows_in<M: PrimeModulus, L: Lane>(
+    a: &Matrix<Fp<M>>,
+    x: &[Fp<M>],
+    rows: core::ops::Range<usize>,
+) -> Vec<Fp<M>> {
     const { assert_wide_batch::<M>() }
+    let batch = L::batch::<M>();
     let mut out = Vec::with_capacity(rows.len());
     let mut row = rows.start;
     // Four-row micro-kernel: one pass over x feeds four accumulators.
     while row + 4 <= rows.end {
-        let (r0, r1, r2, r3) = (a.row(row), a.row(row + 1), a.row(row + 2), a.row(row + 3));
-        let mut acc = [0u128; 4];
-        let mut column = 0;
-        while column < x.len() {
-            let stop = (column + M::WIDE_BATCH).min(x.len());
-            for j in column..stop {
-                let xj = x[j].value() as u128;
-                acc[0] += r0[j].value() as u128 * xj;
-                acc[1] += r1[j].value() as u128 * xj;
-                acc[2] += r2[j].value() as u128 * xj;
-                acc[3] += r3[j].value() as u128 * xj;
+        // Canonical running totals, collapsed once per batch of columns.
+        let mut totals = [0u64; 4];
+        for (index, xs) in x.chunks(batch).enumerate() {
+            let start = index * batch;
+            let n = xs.len();
+            let r0 = &a.row(row)[start..start + n];
+            let r1 = &a.row(row + 1)[start..start + n];
+            let r2 = &a.row(row + 2)[start..start + n];
+            let r3 = &a.row(row + 3)[start..start + n];
+            let mut acc = totals.map(L::from);
+            for j in 0..n {
+                let xj = xs[j].value();
+                acc[0] += L::product(r0[j].value(), xj);
+                acc[1] += L::product(r1[j].value(), xj);
+                acc[2] += L::product(r2[j].value(), xj);
+                acc[3] += L::product(r3[j].value(), xj);
             }
-            for lane in acc.iter_mut() {
-                *lane = M::reduce_wide(*lane) as u128;
-            }
-            column = stop;
+            totals = acc.map(|lane| lane.reduce::<M>());
         }
-        // Lanes are collapsed to canonical representatives at every chunk
-        // boundary, so the final cast is exact.
-        out.extend(acc.iter().map(|&lane| Fp::<M>::new(lane as u64)));
+        out.extend(totals.map(Fp::<M>::new));
         row += 4;
     }
     // Remainder rows: plain lazy dot.
@@ -326,6 +345,72 @@ mod tests {
             .map(|row| row.iter().zip(x.iter()).map(|(&p, &q)| p * q).sum())
             .collect();
         assert_eq!(mat_vec(&a, &x), reference);
+    }
+
+    /// Explicit `u128` references for the narrow-lane equivalence tests:
+    /// every product reduced on its own, summed in a `u128`.
+    fn reference_mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
+        a.rows_iter()
+            .map(|row| {
+                let total: u128 = row
+                    .iter()
+                    .zip(x)
+                    .map(|(p, q)| (*p * *q).value() as u128)
+                    .sum();
+                Fp::new(M::reduce_wide(total))
+            })
+            .collect()
+    }
+
+    fn reference_matt_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, y: &[Fp<M>]) -> Vec<Fp<M>> {
+        (0..a.cols())
+            .map(|j| {
+                let total: u128 = (0..a.rows())
+                    .map(|i| (*a.get(i, j) * y[i]).value() as u128)
+                    .sum();
+                Fp::new(M::reduce_wide(total))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn narrow_lane_kernels_match_u128_reference_across_the_batch() {
+        // mat_vec rows and matt_vec columns accumulate `len` products; the
+        // lengths sit below, at, just past and well past the u64 batch.
+        // Five rows run the four-row micro-kernel and one remainder row.
+        fn check<M: PrimeModulus>() {
+            let batch = M::NARROW_BATCH.min(avcc_field::P25::NARROW_BATCH);
+            let mut rng = StdRng::seed_from_u64(M::MODULUS);
+            for len in [batch - 1, batch, batch + 1, 2 * batch + 3] {
+                let random = |rng: &mut StdRng, n: usize| -> Vec<Fp<M>> {
+                    (0..n)
+                        .map(|_| Fp::new(rng.gen_range(0..M::MODULUS)))
+                        .collect()
+                };
+                let top = |n: usize| vec![Fp::<M>::new(M::MODULUS - 1); n];
+                for (a, v) in [
+                    (random(&mut rng, 5 * len), random(&mut rng, len)),
+                    (top(5 * len), top(len)),
+                ] {
+                    let wide = Matrix::from_vec(5, len, a.clone());
+                    assert_eq!(
+                        mat_vec(&wide, &v),
+                        reference_mat_vec(&wide, &v),
+                        "{} mat_vec len {len}",
+                        M::NAME
+                    );
+                    let tall = Matrix::from_vec(len, 5, a);
+                    assert_eq!(
+                        matt_vec(&tall, &v),
+                        reference_matt_vec(&tall, &v),
+                        "{} matt_vec len {len}",
+                        M::NAME
+                    );
+                }
+            }
+        }
+        check::<avcc_field::P25>();
+        check::<avcc_field::P251>();
     }
 
     #[test]

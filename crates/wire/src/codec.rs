@@ -223,10 +223,19 @@ pub fn put_field_elements<M: PrimeModulus>(
 /// Reads `count` field elements, enforcing the canonical-residue invariant:
 /// a raw value `>= M::MODULUS` is a protocol violation (never silently
 /// reduced — that would let a corrupted frame masquerade as valid data).
+///
+/// `count` may come from a peer, so it is checked against the bytes left in
+/// the reader before anything is allocated: fewer than `count · 8` remaining
+/// bytes is `Truncated`, exactly as in [`take_u64_elements`].
 pub fn take_field_elements<M: PrimeModulus>(
     reader: &mut WireReader<'_>,
     count: usize,
 ) -> Result<Vec<Fp<M>>, WireError> {
+    if reader.remaining() < count.saturating_mul(8) {
+        return Err(WireError::Truncated {
+            context: "field elements",
+        });
+    }
     let mut values = Vec::with_capacity(count);
     for index in 0..count {
         let raw: u64 = serde::Deserialize::deserialize(&mut *reader)?;
@@ -321,6 +330,19 @@ mod tests {
             }
         );
         let _: Vec<F251> = Vec::new();
+    }
+
+    #[test]
+    fn hostile_field_element_count_is_truncated_before_allocating() {
+        // A count whose byte length saturates: without the remaining-bytes
+        // guard `Vec::with_capacity` is asked for ~2^64 bytes and panics.
+        let bytes = [0u8; 16];
+        let mut r = WireReader::new(&bytes);
+        let err = take_field_elements::<P61>(&mut r, usize::MAX / 8).unwrap_err();
+        assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
+        // Nothing was consumed, and an honest count still reads.
+        assert_eq!(r.remaining(), 16);
+        assert_eq!(take_field_elements::<P61>(&mut r, 2).unwrap().len(), 2);
     }
 
     #[test]
